@@ -40,7 +40,6 @@ from .bo_solver import (
     run_trajectory,
     soliton,
     soliton_profile,
-    step,
 )
 from .virial_diagnostics import (
     DiagRecord,
@@ -78,7 +77,7 @@ __all__ = [
     "BlowupError", "SolitonParams", "SolverConfig", "TrajectoryState",
     "bo_rhs", "check_stability", "conserved_energy", "invariants",
     "l1_growth_fit", "profile_residual", "profile_residual_spectral",
-    "run_trajectory", "soliton", "soliton_profile", "step",
+    "run_trajectory", "soliton", "soliton_profile",
     "DiagRecord", "EnergyBudget", "MassBudget", "WeightSchedule",
     "diag_record", "energy_budget", "eta_at", "integrated_decay",
     "lambda_at", "lambda_prime_at", "local_energy", "mass_budget",

@@ -19,11 +19,11 @@ the parameter record this discretization actually certifies;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, frac_deriv, inner
+from .spectral_core import Field, Grid, deriv, frac_deriv, hilbert, inner
 
 __all__ = [
     "BlowupError",
@@ -32,7 +32,6 @@ __all__ = [
     "SolitonParams",
     "check_stability",
     "bo_rhs",
-    "step",
     "run_trajectory",
     "invariants",
     "conserved_energy",
@@ -58,7 +57,6 @@ class SolverConfig:
     dt: float
     t0: float
     t_end: float
-    dealias: bool = True
     record_every: int = 1
 
     def __post_init__(self):
@@ -70,6 +68,15 @@ class SolverConfig:
             raise ValueError(f"t_end must exceed t0, got {self.t_end!r}")
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError(f"record_every must be a positive integer, got {self.record_every!r}")
+        # dt must tile [t0, t_end] exactly; a span that does not is a
+        # configuration error, not something to silently round
+        span = self.t_end - self.t0
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - span) > 1e-9 * max(1.0, span):
+            raise ValueError(f"dt={self.dt!r} does not evenly tile [{self.t0!r}, {self.t_end!r}]")
+
+    @property
+    def n_steps(self) -> int:
+        return round((self.t_end - self.t0) / self.dt)
 
 
 def check_stability(cfg: SolverConfig, grid: Grid) -> None:
@@ -93,9 +100,6 @@ class TrajectoryState:
     u: Field
     t: float
     step: int
-    # cached half-spectrum of u, threaded between steps so repeated
-    # transform round trips do not perturb the zero mode
-    hat: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.step, int) and self.step >= 0):
@@ -104,33 +108,30 @@ class TrajectoryState:
             raise ValueError(f"time must be finite, got {self.t!r}")
 
 
-class _Plan:
-    """Precomputed multiplier arrays for one (grid, dt, dealias) choice."""
+def _flux(w: np.ndarray, grid: Grid, dealias: bool = True) -> np.ndarray:
+    """Half spectrum of -d/dx(w^2): the square truncated by the 2/3 rule,
+    or with only the unpaired Nyquist mode of the odd multiplier zeroed."""
+    fh = np.fft.rfft(w * w)
+    fh[grid.n // 3 + 1 if dealias else grid.n // 2:] = 0.0
+    return -1j * grid._xi_r * fh
 
-    def __init__(self, grid: Grid, dt: float, dealias: bool):
+
+class _Plan:
+    """Precomputed multiplier arrays for one (grid, dt) choice."""
+
+    def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
         xi = grid._xi_r
-        self.xi = xi
         # exact linear propagator exp(-i xi|xi| dt); on the half spectrum
         # xi >= 0 so xi|xi| = xi^2. The discrete H annihilates the Nyquist
         # mode, so the linear generator vanishes there: propagator 1.
         self.e_half = np.exp(-1j * xi * xi * (0.5 * dt))
         self.e_half[-1] = 1.0
         self.e_full = self.e_half * self.e_half
-        kill = np.zeros(grid.n // 2 + 1, dtype=bool)
-        if dealias:
-            kill = ~grid._keep
-        else:
-            kill[-1] = True  # odd multiplier: Nyquist has no partner
-        self.kill = kill
 
     def flux(self, vh: np.ndarray) -> np.ndarray:
-        """-d/dx of the (dealiased) square, in spectral space."""
-        w = np.fft.irfft(vh, self.grid.n)
-        fh = np.fft.rfft(w * w)
-        fh[self.kill] = 0.0
-        return -1j * self.xi * fh
+        return _flux(np.fft.irfft(vh, self.grid.n), self.grid)
 
     def advance(self, vh: np.ndarray) -> np.ndarray:
         """One integrating-factor RK4 step of the flux equation."""
@@ -142,65 +143,27 @@ class _Plan:
         return e2 * vh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
 
 
-def bo_rhs(u: Field, dealias: bool = True, *, nonlinear: bool = True) -> Field:
-    """Right-hand side -d/dx(H u_x + u^2) as a real field.
-
-    `nonlinear=False` drops the flux and leaves the pure dispersive term,
-    which is occasionally useful as a test probe.
-    """
+def bo_rhs(u: Field, dealias: bool = True) -> Field:
+    """Right-hand side -d/dx(H u_x + u^2) as a real field."""
     g = u.grid
-    xi = g._xi_r
-    uh = np.fft.rfft(u.samples)
-    out = -1j * (xi * xi) * uh  # symbol -i xi|xi| on xi >= 0
+    out = -1j * (g._xi_r * g._xi_r) * np.fft.rfft(u.samples)  # -i xi|xi| on xi >= 0
     out[-1] = 0.0
-    if nonlinear:
-        fh = np.fft.rfft(u.samples * u.samples)
-        if dealias:
-            fh[~g._keep] = 0.0
-        flux = -1j * xi * fh
-        flux[-1] = 0.0
-        out = out + flux
-    return Field(g, np.fft.irfft(out, g.n))
-
-
-def step(state: TrajectoryState, cfg: SolverConfig, *, nonlinear: bool = True) -> TrajectoryState:
-    """Advance one dt. Absolute time is recomputed from the step counter
-    (t = t0 + step*dt) rather than accumulated, so it never drifts."""
-    g = state.u.grid
-    check_stability(cfg, g)
-    plan = _Plan(g, cfg.dt, cfg.dealias)
-    vh = state.hat if state.hat is not None else np.fft.rfft(state.u.samples)
-    if not nonlinear:
-        vh = plan.e_full * vh
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            vh = plan.advance(vh)
-    samples = np.fft.irfft(vh, g.n)
-    new_step = state.step + 1
-    new_t = cfg.t0 + new_step * cfg.dt
-    if not np.all(np.isfinite(samples)):
-        raise BlowupError(new_t, new_step)
-    return TrajectoryState(Field(g, samples), new_t, new_step, hat=vh)
+    return Field(g, np.fft.irfft(out + _flux(u.samples, g, dealias), g.n))
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> list[TrajectoryState]:
     """Integrate from t0 to t_end, returning the recorded states.
 
     Records are kept at step 0, every `record_every` steps, and at the
-    final step. dt must tile [t0, t_end] exactly (an integer step count);
-    anything else is a configuration error, not something to silently
-    round. Non-finite samples abort with BlowupError; states recorded
-    before the abort are attached to the exception as `partial`.
+    final step. Absolute time is recomputed from the step counter
+    (t = t0 + step*dt) rather than accumulated, so it never drifts.
+    Non-finite samples abort with BlowupError; states recorded before the
+    abort are attached to the exception as `partial`.
     """
     g = u0.grid
     check_stability(cfg, g)
-    span = cfg.t_end - cfg.t0
-    n_steps = round(span / cfg.dt)
-    if n_steps < 1 or abs(n_steps * cfg.dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(
-            f"dt={cfg.dt!r} does not evenly tile [{cfg.t0!r}, {cfg.t_end!r}]"
-        )
-    plan = _Plan(g, cfg.dt, cfg.dealias)
+    n_steps = cfg.n_steps
+    plan = _Plan(g, cfg.dt)
     vh = np.fft.rfft(u0.samples)
     records = [TrajectoryState(u0, cfg.t0, 0)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -298,6 +261,15 @@ def _hilbert_deriv_closed_form(p: SolitonParams, grid: Grid) -> np.ndarray:
     return p.amplitude * p.scale * (1.0 - z * z) / (1.0 + z * z) ** 2
 
 
+def _relative_residual(q: Field, hq: np.ndarray, speed: float) -> float:
+    """||H Q' + Q^2 - s Q||_2 / ||Q||_2, given the samples hq of H Q'."""
+    res = hq + q.samples ** 2 - speed * q.samples
+    qn = math.sqrt(inner(q, q))
+    if qn == 0.0:
+        return 0.0
+    return math.sqrt(float(q.grid.spacing * np.sum(res * res))) / qn
+
+
 def profile_residual(p: SolitonParams, grid: Grid) -> float:
     """Relative L2 residual of the integrated traveling-wave equation
     H Q' + Q^2 - s Q = 0.
@@ -308,26 +280,15 @@ def profile_residual(p: SolitonParams, grid: Grid) -> float:
     discrete transform instead.
     """
     q = soliton_profile(p, grid)
-    res = _hilbert_deriv_closed_form(p, grid) + q.samples ** 2 - p.speed * q.samples
-    qn = math.sqrt(inner(q, q))
-    if qn == 0.0:
-        return 0.0
-    return math.sqrt(float(grid.spacing * np.sum(res * res))) / qn
+    return _relative_residual(q, _hilbert_deriv_closed_form(p, grid), p.speed)
 
 
 def profile_residual_spectral(p: SolitonParams, grid: Grid) -> float:
     """Same residual with H Q' computed by the discrete multiplier; carries
     an extra periodization floor (~1e-4 at n=4096, L=400) on top of the
     parameter mismatch."""
-    from .spectral_core import deriv, hilbert
-
     q = soliton_profile(p, grid)
-    hq = hilbert(deriv(q))
-    res = hq.samples + q.samples ** 2 - p.speed * q.samples
-    qn = math.sqrt(inner(q, q))
-    if qn == 0.0:
-        return 0.0
-    return math.sqrt(float(grid.spacing * np.sum(res * res))) / qn
+    return _relative_residual(q, hilbert(deriv(q)).samples, p.speed)
 
 
 def l1_growth_fit(records) -> float:

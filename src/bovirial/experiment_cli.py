@@ -51,7 +51,7 @@ from .inequality_harness import (
     calibrate,
     run_check,
 )
-from .spectral_core import Field, Grid, make_grid
+from .spectral_core import Field, Grid, _band_limited, make_grid
 from .virial_diagnostics import (
     DiagRecord,
     WeightSchedule,
@@ -80,12 +80,10 @@ _KEYS = {
     "solver.dt": ("float", None),
     "solver.t0": ("float", None),
     "solver.t_end": ("float", None),
-    "solver.dealias": ("bool", None),
     "solver.record_every": ("int", None),
     "weight.a": ("float", None),
     "weight.c_scale": ("float", None),
     "output.prefix": ("str", None),
-    "output.format": ("str", None),
     "soliton.c": ("float", "soliton"),
     "soliton.x0": ("float", "soliton"),
     "gaussian.amplitude": ("float", "gaussian"),
@@ -132,12 +130,6 @@ def _convert(key: str, value: str):
             return int(value)
         if kind == "float":
             return float(value)
-        if kind == "bool":
-            if value.lower() in ("true", "yes", "1"):
-                return True
-            if value.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(value)
         return value
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}") from None
@@ -151,7 +143,6 @@ class ScenarioConfig:
     weight: WeightSchedule
     params: dict
     out_prefix: str
-    out_format: str
     raw: dict  # the parsed key=value pairs, echoed into the manifest
 
 
@@ -178,7 +169,6 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
             dt=vals["solver.dt"],
             t0=vals["solver.t0"],
             t_end=vals["solver.t_end"],
-            dealias=vals.get("solver.dealias", True),
             record_every=vals.get("solver.record_every", 1),
         )
         weight = WeightSchedule(a=vals.get("weight.a", 0.0),
@@ -189,10 +179,6 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
 
     if solver.t0 <= 1.0:
         raise ConfigError("solver.t0 must exceed 1 (window weights are undefined below)")
-    span = solver.t_end - solver.t0
-    n_steps = round(span / solver.dt)
-    if n_steps < 1 or abs(n_steps * solver.dt - span) > 1e-9 * max(1.0, span):
-        raise ConfigError("solver.dt must tile [t0, t_end] in an integer number of steps")
 
     params: dict = {}
     if scenario == "soliton":
@@ -225,9 +211,6 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
             raise ConfigError(f"samples file not found: {path}")
         params["samples_file"] = path
 
-    out_format = vals.get("output.format", "csv")
-    if out_format != "csv":
-        raise ConfigError(f"unsupported output.format {out_format!r} (only 'csv')")
     return ScenarioConfig(
         scenario=scenario,
         grid=grid,
@@ -235,7 +218,6 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         weight=weight,
         params=params,
         out_prefix=vals.get("output.prefix", scenario),
-        out_format=out_format,
         raw=dict(raw),
     )
 
@@ -260,11 +242,7 @@ def initial_condition(cfg: ScenarioConfig) -> Field:
         x = grid.coords
         return Field(grid, p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2)))
     if cfg.scenario == "random":
-        rng = np.random.default_rng(p["seed"])
-        co = np.zeros(grid.n // 2 + 1, dtype=complex)
-        kmax = p["bandwidth"]
-        co[1 : kmax + 1] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-        f = np.fft.irfft(co, grid.n)
+        f = _band_limited(np.random.default_rng(p["seed"]), grid, p["bandwidth"])
         nrm = math.sqrt(grid.spacing * float(np.sum(f * f)))
         if nrm > 0 and p["amplitude"] != 0:
             f = f * (p["amplitude"] / nrm)
@@ -291,7 +269,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_rows(states, sched: WeightSchedule, use_dealias: bool) -> list[str]:
+def _csv_rows(states, sched: WeightSchedule) -> list[str]:
     """One CSV line per recorded state; budget cells are filled for states
     with two equally spaced neighbors and left empty otherwise.
 
@@ -316,9 +294,9 @@ def _csv_rows(states, sched: WeightSchedule, use_dealias: bool) -> list[str]:
             if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
                 with np.errstate(over="ignore", invalid="ignore"):
                     mb = mass_budget(states[i - 1].u, st.u, states[i + 1].u, st.t,
-                                     h_prev, sched, dealias=use_dealias)
+                                     h_prev, sched)
                     eb = energy_budget(states[i - 1].u, st.u, states[i + 1].u, st.t,
-                                       h_prev, sched, dealias=use_dealias)
+                                       h_prev, sched)
                 budget_cells = [
                     _fmt(mb.a1), _fmt(mb.a2), _fmt(mb.a3), _fmt(mb.a4),
                     _fmt(mb.residual),
@@ -354,7 +332,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
         states = exc.partial if getattr(exc, "partial", None) else []
         status = "aborted"
         print(f"error: {exc}", file=sys.stderr)
-    lines = _csv_rows(states, cfg.weight, cfg.solver.dealias)
+    lines = _csv_rows(states, cfg.weight)
     _write_records(records_path, lines)
     manifest = {
         "config": cfg.raw,
@@ -370,13 +348,35 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
     return 0 if status == "completed" else 3
 
 
-def _run_one(args: tuple[str, str]) -> int:
-    path, out_dir = args
+def _run_one(args: tuple[str, ScenarioConfig, str]) -> int:
+    path, cfg, out_dir = args
     try:
-        return run_scenario(load_config(path), out_dir)
+        return run_scenario(cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
+
+
+def _load_runs(paths: list[str], out_dir: str) -> tuple[list[int], list[tuple]]:
+    """Load every config before any run starts: exit codes of the configs
+    that fail to load, and one task per config that loads. Two configs
+    writing the same output prefix are rejected outright, since the later
+    run would overwrite (or, under --jobs, race) the earlier one."""
+    codes, tasks, owners = [], [], {}
+    for path in paths:
+        try:
+            cfg = load_config(path)
+        except ConfigError as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            codes.append(2)
+            continue
+        prefix = os.path.normpath(cfg.out_prefix)
+        if prefix in owners:
+            raise ConfigError(f"{owners[prefix]} and {path} both write output prefix "
+                              f"{cfg.out_prefix!r}")
+        owners[prefix] = path
+        tasks.append((path, cfg, out_dir))
+    return codes, tasks
 
 
 def parse_records(path: str):
@@ -607,12 +607,12 @@ def main(argv=None) -> int:
             out_dir = _default_out(args.out)
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
-            tasks = [(path, out_dir) for path in args.config]
+            codes, tasks = _load_runs(args.config, out_dir)
             if args.jobs > 1 and len(tasks) > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    codes = list(pool.map(_run_one, tasks))
+                    codes += pool.map(_run_one, tasks)
             else:
-                codes = [_run_one(task) for task in tasks]
+                codes += [_run_one(task) for task in tasks]
             return max(codes)
         if args.command == "check-lemmas":
             try:

@@ -26,6 +26,8 @@ import numpy as np
 from .spectral_core import (
     Field,
     Grid,
+    _band_limited,
+    _same_grid,
     dealias as spectral_dealias,
     deriv,
     fourier_l1_deriv,
@@ -80,15 +82,6 @@ class Corpus:
             raise ValueError("corpus labels must be unique")
 
 
-def _rand_band_limited(rng, grid: Grid, kmax: int) -> np.ndarray:
-    co = np.zeros(grid.n // 2 + 1, dtype=complex)
-    co[1 : kmax + 1] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-    f = np.fft.irfft(co, grid.n)
-    f = f - f.mean()
-    nrm = np.sqrt(grid.spacing * np.sum(f * f))
-    return f / nrm
-
-
 def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
     """32 deterministic test functions: 20 random band-limited fields
     (bandwidth <= n/8, mean-subtracted, unit L2 norm), 4 Gaussians, 4
@@ -100,7 +93,9 @@ def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
 
     kmax = grid.n // 8
     for i in range(20):
-        entries.append(_rand_band_limited(rng, grid, kmax))
+        f = _band_limited(rng, grid, kmax)
+        f = f - f.mean()
+        entries.append(f / np.sqrt(grid.spacing * np.sum(f * f)))
         labels.append(f"rand{i:02d}")
 
     for j, (amp, width, center) in enumerate(
@@ -144,9 +139,7 @@ def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:
     transforming (the harness default). dealias=False keeps plain pointwise
     products, which makes adjointness-based split identities exact.
     """
-    if phi_w.grid.n != u.grid.n or phi_w.grid.length != u.grid.length:
-        raise ValueError("weight and field live on different grids")
-    g = u.grid
+    g = _same_grid(phi_w, u)
 
     def product(a: np.ndarray, b: np.ndarray) -> Field:
         p = Field(g, a * b)

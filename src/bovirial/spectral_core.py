@@ -77,6 +77,10 @@ class Grid:
     def spacing(self) -> float:
         return self.length / self.n
 
+    def __reduce__(self):
+        # rebuild on unpickling, so a worker's copy is frozen too
+        return (Grid, (self.n, self.length))
+
 
 def make_grid(n: int, length: float) -> Grid:
     return Grid(n=n, length=length)
@@ -107,6 +111,14 @@ def _same_grid(f: Field, g: Field) -> Grid:
     if f.grid is not g.grid and (f.grid.n != g.grid.n or f.grid.length != g.grid.length):
         raise ValueError("fields live on different grids")
     return f.grid
+
+
+def _band_limited(rng: np.random.Generator, grid: Grid, kmax: int) -> np.ndarray:
+    """Real samples whose modes 1..kmax carry independent standard complex
+    normal coefficients drawn from `rng`; every other mode is zero."""
+    co = np.zeros(grid.n // 2 + 1, dtype=complex)
+    co[1 : kmax + 1] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
+    return np.fft.irfft(co, grid.n)
 
 
 def hilbert(f: Field) -> Field:

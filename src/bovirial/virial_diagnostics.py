@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, dealias as spectral_dealias, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _same_grid, deriv, frac_deriv, hilbert, inner
+from .spectral_core import dealias as spectral_dealias
 
 __all__ = [
     "WeightSchedule",
@@ -249,10 +250,8 @@ class EnergyBudget:
 
 
 def _budget_guard(u_prev: Field, u: Field, u_next: Field, t: float, dt: float) -> Grid:
-    g = u.grid
-    for other in (u_prev, u_next):
-        if other.grid.n != g.n or other.grid.length != g.length:
-            raise ValueError("budget snapshots live on different grids")
+    g = _same_grid(u, u_prev)
+    _same_grid(u, u_next)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt!r}")
     if t - dt <= 1.0:
@@ -266,17 +265,14 @@ def _weighted_sum(grid: Grid, weight: np.ndarray, samples: np.ndarray) -> float:
     return float(grid.spacing * np.sum(weight * samples))
 
 
-def _flux_field(u: Field, use_dealias: bool) -> Field:
-    # same truncation as the solver's nonlinearity, so a4 is exactly the
-    # flux term the trajectory actually felt
-    sq = Field(u.grid, u.samples * u.samples)
-    if use_dealias:
-        sq = spectral_dealias(sq)
-    return deriv(sq)
+def _flux_field(u: Field) -> Field:
+    # same 2/3 truncation as the solver's nonlinearity, so a4 is exactly
+    # the flux term the trajectory actually felt
+    return deriv(spectral_dealias(Field(u.grid, u.samples * u.samples)))
 
 
 def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
-                s: WeightSchedule, *, dealias: bool = True) -> MassBudget:
+                s: WeightSchedule) -> MassBudget:
     """Budget from three consecutive snapshots at t-dt, t, t+dt.
 
     The d/dt term is a centered difference of the full weighted integral
@@ -301,7 +297,7 @@ def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     a2 = w * (lambda_prime_at(s, t) / lam) * _weighted_sum(g, z * winp, u.samples)
     disp = deriv(deriv(hilbert(u)))
     a3 = w * _weighted_sum(g, win, disp.samples)
-    a4 = w * _weighted_sum(g, win, _flux_field(u, dealias).samples)
+    a4 = w * _weighted_sum(g, win, _flux_field(u).samples)
     residual = ddt - a1 + a2 + a3 + a4
     return MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
                       residual=residual)
@@ -342,7 +338,7 @@ def weighted_dispersive_flux(u: Field, lam: float) -> float:
 
 
 def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
-                  s: WeightSchedule, *, dealias: bool = True) -> EnergyBudget:
+                  s: WeightSchedule) -> EnergyBudget:
     g = _budget_guard(u_prev, u, u_next, t, dt)
 
     def weighted_half_sq(v: Field, tau: float) -> float:

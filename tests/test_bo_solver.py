@@ -50,10 +50,24 @@ class TestTrajectory:
             assert s.t == cfg.t0 + s.step * cfg.dt
 
     def test_rejects_dt_that_does_not_tile_span(self, grid_small):
-        u0 = gaussian(grid_small, 0.3, 5.0)
-        cfg = bv.SolverConfig(dt=3e-3, t0=2.0, t_end=2.01)
         with pytest.raises(ValueError):
-            bv.run_trajectory(u0, cfg)
+            bv.SolverConfig(dt=3e-3, t0=2.0, t_end=2.01)
+
+    def test_one_step_quotient_converges_to_rhs(self, gaussian_small):
+        # the integrator and bo_rhs build the same flux, so the forward
+        # difference quotient of one step tends to bo_rhs(u0) at first order
+        u0 = gaussian_small
+        want = bv.bo_rhs(u0).samples
+
+        def sup_error(dt):
+            cfg = bv.SolverConfig(dt=dt, t0=2.0, t_end=2.0 + dt)
+            u1 = bv.run_trajectory(u0, cfg)[-1].u.samples
+            return np.max(np.abs((u1 - u0.samples) / dt - want))
+
+        e1, e2, e3 = (sup_error(dt) for dt in (1e-3, 5e-4, 2.5e-4))
+        assert e1 < 1e-4
+        assert e1 / e2 == pytest.approx(2.0, rel=0.05)
+        assert e2 / e3 == pytest.approx(2.0, rel=0.05)
 
     def test_final_state_always_recorded(self, grid_small):
         u0 = gaussian(grid_small, 0.3, 5.0)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command surface: configs, files, exit codes."""
 
+import glob
 import json
 import math
 import os
@@ -212,6 +213,17 @@ output.prefix = boom
         out = str(tmp_path / "out")
         assert main(["run", "--config", good, "--config", bad,
                      "--out", out]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_duplicate_prefix_exits_2_before_any_run(self, tmp_path, capsys, jobs):
+        # the first names its prefix, the second falls back to the scenario name
+        one = write_cfg(tmp_path, SOLITON_CFG.replace("wave", "soliton"), "one.cfg")
+        two = write_cfg(tmp_path, SOLITON_CFG.replace("output.prefix = wave\n", ""), "two.cfg")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", one, "--config", two, "--out", out,
+                     "--jobs", jobs]) == 2
+        assert "'soliton'" in capsys.readouterr().err
+        assert glob.glob(os.path.join(out, "*.csv")) == []
 
     def test_custom_scenario_round_trip(self, tmp_path):
         g = bv.make_grid(512, 100.0)
