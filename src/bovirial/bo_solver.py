@@ -44,12 +44,14 @@ __all__ = [
 
 
 class BlowupError(RuntimeError):
-    """Raised when the integration produces non-finite samples."""
+    """Raised when the integration produces non-finite samples; `partial`
+    holds the states recorded before the abort."""
 
-    def __init__(self, t, step):
+    def __init__(self, t, step, partial):
         super().__init__(f"non-finite field detected at t={t:g} (step {step})")
         self.t = t
         self.step = step
+        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> l
     final step. Absolute time is recomputed from the step counter
     (t = t0 + step*dt) rather than accumulated, so it never drifts.
     Non-finite samples abort with BlowupError; states recorded before the
-    abort are attached to the exception as `partial`.
+    abort travel with the exception as `partial`.
     """
     g = u0.grid
     check_stability(cfg, g)
@@ -176,9 +178,7 @@ def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> l
                 samples = np.fft.irfft(vh, g.n)
                 t_k = cfg.t0 + k * cfg.dt
                 if not np.all(np.isfinite(samples)):
-                    err = BlowupError(t_k, k)
-                    err.partial = records
-                    raise err
+                    raise BlowupError(t_k, k, records)
                 records.append(TrajectoryState(Field(g, samples), t_k, k))
     return records
 

@@ -72,30 +72,31 @@ CSV_COLUMNS = (
 
 SCENARIOS = ("soliton", "gaussian", "random", "custom")
 
-# every key the parser accepts; value = (type tag, scenario restriction)
-_KEYS = {
-    "scenario": ("str", None),
-    "grid.n": ("int", None),
-    "grid.length": ("float", None),
-    "solver.dt": ("float", None),
-    "solver.t0": ("float", None),
-    "solver.t_end": ("float", None),
-    "solver.record_every": ("int", None),
-    "weight.a": ("float", None),
-    "weight.c_scale": ("float", None),
-    "output.prefix": ("str", None),
-    "soliton.c": ("float", "soliton"),
-    "soliton.x0": ("float", "soliton"),
-    "gaussian.amplitude": ("float", "gaussian"),
-    "gaussian.width": ("float", "gaussian"),
-    "gaussian.center": ("float", "gaussian"),
-    "random.seed": ("int", "random"),
-    "random.bandwidth": ("int", "random"),
-    "random.amplitude": ("float", "random"),
-    "custom.samples_file": ("str", "custom"),
-}
+_REQUIRED = object()
 
-_REQUIRED = ("scenario", "grid.n", "grid.length", "solver.dt", "solver.t0", "solver.t_end")
+# every key the parser accepts: (type, owning scenario or None for all,
+# default); a callable default is computed from the keys above it
+_KEYS = {
+    "scenario": (str, None, _REQUIRED),
+    "grid.n": (int, None, _REQUIRED),
+    "grid.length": (float, None, _REQUIRED),
+    "solver.dt": (float, None, _REQUIRED),
+    "solver.t0": (float, None, _REQUIRED),
+    "solver.t_end": (float, None, _REQUIRED),
+    "solver.record_every": (int, None, 1),
+    "weight.a": (float, None, 0.0),
+    "weight.c_scale": (float, None, 1.0),
+    "output.prefix": (str, None, lambda vals: vals["scenario"]),
+    "soliton.c": (float, "soliton", _REQUIRED),
+    "soliton.x0": (float, "soliton", 0.0),
+    "gaussian.amplitude": (float, "gaussian", _REQUIRED),
+    "gaussian.width": (float, "gaussian", _REQUIRED),
+    "gaussian.center": (float, "gaussian", 0.0),
+    "random.seed": (int, "random", 0),
+    "random.bandwidth": (int, "random", lambda vals: vals["grid.n"] // 8),
+    "random.amplitude": (float, "random", 1.0),
+    "custom.samples_file": (str, "custom", _REQUIRED),
+}
 
 
 class ConfigError(ValueError):
@@ -123,18 +124,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _convert(key: str, value: str):
-    kind = _KEYS[key][0]
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}") from None
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -147,96 +136,75 @@ class ScenarioConfig:
 
 
 def build_config(raw: dict[str, str]) -> ScenarioConfig:
+    """Accept or reject a parsed config. Every key must be known, parse as
+    its type and belong to the scenario; absent keys take their defaults
+    from `_KEYS`. The initial field is built once here, so every
+    configuration error, initial data included, raises ConfigError before
+    any run starts."""
     for key in raw:
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-
-    scenario = raw["scenario"]
+    scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    for key in raw:
-        owner = _KEYS[key][1]
-        if owner is not None and owner != scenario:
-            raise ConfigError(f"key {key!r} does not apply to scenario {scenario!r}")
+        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    vals = {k: _convert(k, v) for k, v in raw.items()}
+    vals: dict = {}
+    for key, (kind, owner, default) in _KEYS.items():
+        if owner not in (None, scenario):
+            if key in raw:
+                raise ConfigError(f"key {key!r} does not apply to scenario {scenario!r}")
+        elif key in raw:
+            try:
+                vals[key] = kind(raw[key])
+            except ValueError:
+                raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} "
+                                  f"as {kind.__name__}") from None
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}")
+        else:
+            vals[key] = default(vals) if callable(default) else default
+    params = {key.partition(".")[2]: v for key, v in vals.items()
+              if key.startswith(scenario + ".")}
+
     try:
         grid = make_grid(vals["grid.n"], vals["grid.length"])
-        solver = SolverConfig(
-            dt=vals["solver.dt"],
-            t0=vals["solver.t0"],
-            t_end=vals["solver.t_end"],
-            record_every=vals.get("solver.record_every", 1),
-        )
-        weight = WeightSchedule(a=vals.get("weight.a", 0.0),
-                                c_scale=vals.get("weight.c_scale", 1.0))
+        solver = SolverConfig(dt=vals["solver.dt"], t0=vals["solver.t0"],
+                              t_end=vals["solver.t_end"],
+                              record_every=vals["solver.record_every"])
         check_stability(solver, grid)
-    except ValueError as exc:
+        if solver.t0 <= 1.0:
+            raise ValueError("solver.t0 must exceed 1 (window weights are undefined below)")
+        if scenario == "gaussian" and not params["width"] > 0:
+            raise ValueError("gaussian.width must be positive")
+        if scenario == "random" and not 1 <= params["bandwidth"] <= grid.n // 3:
+            raise ValueError("random.bandwidth must lie in [1, n/3]")
+        cfg = ScenarioConfig(
+            scenario=scenario, grid=grid, solver=solver,
+            weight=WeightSchedule(a=vals["weight.a"], c_scale=vals["weight.c_scale"]),
+            params=params, out_prefix=vals["output.prefix"], raw=dict(raw))
+        initial_condition(cfg)
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
-
-    if solver.t0 <= 1.0:
-        raise ConfigError("solver.t0 must exceed 1 (window weights are undefined below)")
-
-    params: dict = {}
-    if scenario == "soliton":
-        if "soliton.c" not in vals:
-            raise ConfigError("soliton scenario requires soliton.c")
-        params["c"] = vals["soliton.c"]
-        params["x0"] = vals.get("soliton.x0", 0.0)
-        if params["c"] <= 0:
-            raise ConfigError("soliton.c must be positive")
-    elif scenario == "gaussian":
-        for key in ("gaussian.amplitude", "gaussian.width"):
-            if key not in vals:
-                raise ConfigError(f"gaussian scenario requires {key}")
-        if vals["gaussian.width"] <= 0:
-            raise ConfigError("gaussian.width must be positive")
-        params["amplitude"] = vals["gaussian.amplitude"]
-        params["width"] = vals["gaussian.width"]
-        params["center"] = vals.get("gaussian.center", 0.0)
-    elif scenario == "random":
-        params["seed"] = vals.get("random.seed", 0)
-        params["bandwidth"] = vals.get("random.bandwidth", grid.n // 8)
-        params["amplitude"] = vals.get("random.amplitude", 1.0)
-        if not (1 <= params["bandwidth"] <= grid.n // 3):
-            raise ConfigError("random.bandwidth must lie in [1, n/3]")
-    else:  # custom
-        if "custom.samples_file" not in vals:
-            raise ConfigError("custom scenario requires custom.samples_file")
-        path = vals["custom.samples_file"]
-        if not os.path.isfile(path):
-            raise ConfigError(f"samples file not found: {path}")
-        params["samples_file"] = path
-
-    return ScenarioConfig(
-        scenario=scenario,
-        grid=grid,
-        solver=solver,
-        weight=weight,
-        params=params,
-        out_prefix=vals.get("output.prefix", scenario),
-        raw=dict(raw),
-    )
+    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config_text(fh.read()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    return build_config(parse_config_text(text))
 
 
 def initial_condition(cfg: ScenarioConfig) -> Field:
+    """The sampled initial field. Raises ValueError on data that cannot
+    start a run (too wide a soliton, non-finite or wrongly sized samples)
+    and OSError on an unreadable samples file."""
     grid = cfg.grid
     p = cfg.params
     if cfg.scenario == "soliton":
-        try:
-            _, certified = soliton(p["c"], p["x0"], grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        _, certified = soliton(p["c"], p["x0"], grid)
         return soliton_profile(certified, grid)
     if cfg.scenario == "gaussian":
         x = grid.coords
@@ -249,20 +217,7 @@ def initial_condition(cfg: ScenarioConfig) -> Field:
         else:
             f = np.zeros(grid.n)
         return Field(grid, f)
-    # custom
-    try:
-        samples = np.loadtxt(p["samples_file"])
-    except Exception as exc:
-        raise ConfigError(f"cannot read samples file: {exc}") from None
-    samples = np.atleast_1d(np.asarray(samples, dtype=float))
-    if samples.shape != (grid.n,):
-        raise ConfigError(
-            f"samples file has shape {samples.shape}, expected ({grid.n},)"
-        )
-    try:
-        return Field(grid, samples)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Field(grid, np.loadtxt(p["samples_file"]))  # custom
 
 
 def _fmt(x) -> str:
@@ -315,6 +270,12 @@ def _write_records(path: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -329,7 +290,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
     try:
         states = run_trajectory(u0, cfg.solver)
     except BlowupError as exc:
-        states = exc.partial if getattr(exc, "partial", None) else []
+        states = exc.partial
         status = "aborted"
         print(f"error: {exc}", file=sys.stderr)
     lines = _csv_rows(states, cfg.weight)
@@ -342,32 +303,33 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
         "records": len(lines),
         "status": status,
     }
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     return 0 if status == "completed" else 3
 
 
-def _run_one(args: tuple[str, ScenarioConfig, str]) -> int:
-    path, cfg, out_dir = args
+def _run_one(args: tuple[ScenarioConfig, str]) -> int:
+    """Pool entry: run one loaded config into its output directory."""
+    return run_scenario(*args)
+
+
+def _load(path: str):
+    """Pool entry: the loaded config, or the ConfigError that rejects it."""
     try:
-        return run_scenario(cfg, out_dir)
+        return load_config(path)
     except ConfigError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+        return exc
 
 
-def _load_runs(paths: list[str], out_dir: str) -> tuple[list[int], list[tuple]]:
-    """Load every config before any run starts: exit codes of the configs
-    that fail to load, and one task per config that loads. Two configs
-    writing the same output prefix are rejected outright, since the later
-    run would overwrite (or, under --jobs, race) the earlier one."""
+def _load_runs(paths: list[str], out_dir: str, mapper) -> tuple[list[int], list[tuple]]:
+    """Load every config, through `mapper` (`map` or a pool's), before any
+    run starts: exit codes of the configs that fail to load, and one task
+    per config that loads. Two configs writing the same output prefix are
+    rejected outright, since the later run would overwrite (or, under
+    --jobs, race) the earlier one."""
     codes, tasks, owners = [], [], {}
-    for path in paths:
-        try:
-            cfg = load_config(path)
-        except ConfigError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for path, cfg in zip(paths, mapper(_load, paths)):
+        if isinstance(cfg, ConfigError):
+            print(f"error: {path}: {cfg}", file=sys.stderr)
             codes.append(2)
             continue
         prefix = os.path.normpath(cfg.out_prefix)
@@ -375,7 +337,7 @@ def _load_runs(paths: list[str], out_dir: str) -> tuple[list[int], list[tuple]]:
             raise ConfigError(f"{owners[prefix]} and {path} both write output prefix "
                               f"{cfg.out_prefix!r}")
         owners[prefix] = path
-        tasks.append((path, cfg, out_dir))
+        tasks.append((cfg, out_dir))
     return codes, tasks
 
 
@@ -484,10 +446,7 @@ def analyze_records(records_path: str, a: float, c_scale: float, out_dir: str) -
         "flags": flags,
         "schedule": {"a": a, "c_scale": c_scale},
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
 
     _write_dat(os.path.join(out_dir, "F_vs_t.dat"), [(d.t, d.F) for d in diags])
     _write_dat(os.path.join(out_dir, "mass_residual_vs_t.dat"),
@@ -531,10 +490,7 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
         "sup_ratio": sups,
         "calibrate": {tag: calibrate(corpus, tag, lams) for tag in TAGS},
     }
-    with open(os.path.join(out_dir, "lemma_summary.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "lemma_summary.json"), summary)
     return 0
 
 
@@ -607,12 +563,15 @@ def main(argv=None) -> int:
             out_dir = _default_out(args.out)
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
-            codes, tasks = _load_runs(args.config, out_dir)
-            if args.jobs > 1 and len(tasks) > 1:
+            if args.jobs > 1 and len(args.config) > 1:
+                # workers load too: random initial data imports numpy.random
+                # (about 6 MB resident), which the parent then never holds
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                    codes, tasks = _load_runs(args.config, out_dir, pool.map)
                     codes += pool.map(_run_one, tasks)
             else:
-                codes += [_run_one(task) for task in tasks]
+                codes, tasks = _load_runs(args.config, out_dir, map)
+                codes += map(_run_one, tasks)
             return max(codes)
         if args.command == "check-lemmas":
             try:

@@ -36,7 +36,7 @@ from .spectral_core import (
     inner,
     l2_norm,
 )
-from .virial_diagnostics import phi, phi_prime, window_prime
+from .virial_diagnostics import _check_lam, phi, phi_prime, window_prime
 
 __all__ = [
     "DEFAULT_SEED",
@@ -152,10 +152,8 @@ def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:
 
 
 def _weight_integrals(f: Field, lam: float) -> tuple[np.ndarray, float]:
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
     g = f.grid
-    wp = phi_prime(g.coords / lam)
+    wp = phi_prime(g.coords / _check_lam(lam))
     rhs_unit = float(g.spacing * np.sum(wp * f.samples ** 2)) / lam
     return wp, rhs_unit
 

@@ -125,19 +125,22 @@ def eta_at(t: float) -> float:
     return 1.0 / (t * math.log(t))
 
 
-def window(grid: Grid, lam: float) -> Field:
-    """Sampled phi(x/lam)."""
+def _check_lam(lam: float) -> float:
+    """Return lam, raising ValueError unless it is positive and finite."""
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be positive, got {lam!r}")
-    return Field(grid, phi(grid.coords / lam))
+    return lam
+
+
+def window(grid: Grid, lam: float) -> Field:
+    """Sampled phi(x/lam)."""
+    return Field(grid, phi(grid.coords / _check_lam(lam)))
 
 
 def window_prime(grid: Grid, lam: float) -> Field:
     """Sampled phi'(x/lam) (no 1/lam chain factor; callers keep those
     explicit)."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
-    return Field(grid, phi_prime(grid.coords / lam))
+    return Field(grid, phi_prime(grid.coords / _check_lam(lam)))
 
 
 def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
@@ -154,8 +157,7 @@ def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
     image that the finite box cuts off (measured 2.3e-5 at (4096, 400) and
     5.8e-6 at (8192, 800), for lam = 1, 5 and 20 alike).
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
+    _check_lam(lam)
     jump = 2.0 * np.arctan(grid.length / (2.0 * lam))
     ramp = jump * (0.5 + grid.coords / grid.length)
     smooth = Field(grid, phi(grid.coords / lam) - ramp)
@@ -183,10 +185,8 @@ class DiagRecord:
 
 def local_energy(u: Field, lam: float) -> float:
     """F = int phi'(x/lam) (u^2 + (D^{1/2}u)^2) dx, always >= 0."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
     g = u.grid
-    wp = phi_prime(g.coords / lam)
+    wp = phi_prime(g.coords / _check_lam(lam))
     dh = frac_deriv(u, 0.5)
     val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh.samples ** 2))
     return float(val)
@@ -265,6 +265,29 @@ def _weighted_sum(grid: Grid, weight: np.ndarray, samples: np.ndarray) -> float:
     return float(grid.spacing * np.sum(weight * samples))
 
 
+def _window_terms(g: Grid, u_prev: Field, u: Field, u_next: Field, t: float,
+                  dt: float, s: WeightSchedule, density):
+    """The terms both budgets share for a density rho = density(samples):
+    the centered d/dt of w(tau) int phi(x/lambda(tau)) rho (weights at
+    their own times), w' int phi rho and w (lambda'/lambda) int (x/lambda)
+    phi' rho at t, followed by lambda, w, phi and phi' at t."""
+
+    def weighted(v: Field, tau: float) -> float:
+        return w_at(s, tau) * _weighted_sum(g, phi(g.coords / lambda_at(s, tau)),
+                                            density(v.samples))
+
+    ddt = (weighted(u_next, t + dt) - weighted(u_prev, t - dt)) / (2.0 * dt)
+    lam = lambda_at(s, t)
+    w = w_at(s, t)
+    z = g.coords / lam
+    win = phi(z)
+    winp = phi_prime(z)
+    rho = density(u.samples)
+    damping = w_prime_at(s, t) * _weighted_sum(g, win, rho)
+    dilation = w * (lambda_prime_at(s, t) / lam) * _weighted_sum(g, z * winp, rho)
+    return ddt, damping, dilation, lam, w, win, winp
+
+
 def _flux_field(u: Field) -> Field:
     # same 2/3 truncation as the solver's nonlinearity, so a4 is exactly
     # the flux term the trajectory actually felt
@@ -280,21 +303,8 @@ def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     analytic w' and lambda'.
     """
     g = _budget_guard(u_prev, u, u_next, t, dt)
-
-    def weighted_mass(v: Field, tau: float) -> float:
-        win = phi(g.coords / lambda_at(s, tau))
-        return w_at(s, tau) * _weighted_sum(g, win, v.samples)
-
-    ddt = (weighted_mass(u_next, t + dt) - weighted_mass(u_prev, t - dt)) / (2.0 * dt)
-
-    lam = lambda_at(s, t)
-    w = w_at(s, t)
-    z = g.coords / lam
-    win = phi(z)
-    winp = phi_prime(z)
-
-    a1 = w_prime_at(s, t) * _weighted_sum(g, win, u.samples)
-    a2 = w * (lambda_prime_at(s, t) / lam) * _weighted_sum(g, z * winp, u.samples)
+    ddt, a1, a2, _, w, win, _ = _window_terms(g, u_prev, u, u_next, t, dt, s,
+                                              lambda v: v)
     disp = deriv(deriv(hilbert(u)))
     a3 = w * _weighted_sum(g, win, disp.samples)
     a4 = w * _weighted_sum(g, win, _flux_field(u).samples)
@@ -340,21 +350,11 @@ def weighted_dispersive_flux(u: Field, lam: float) -> float:
 def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
                   s: WeightSchedule) -> EnergyBudget:
     g = _budget_guard(u_prev, u, u_next, t, dt)
-
-    def weighted_half_sq(v: Field, tau: float) -> float:
-        win = phi(g.coords / lambda_at(s, tau))
-        return 0.5 * w_at(s, tau) * _weighted_sum(g, win, v.samples ** 2)
-
-    ddt = (weighted_half_sq(u_next, t + dt) - weighted_half_sq(u_prev, t - dt)) / (2.0 * dt)
-
-    lam = lambda_at(s, t)
-    w = w_at(s, t)
-    z = g.coords / lam
-    win = phi(z)
-    winp = phi_prime(z)
-
-    b1 = -0.5 * w_prime_at(s, t) * _weighted_sum(g, win, u.samples ** 2)
-    b2 = 0.5 * w * (lambda_prime_at(s, t) / lam) * _weighted_sum(g, z * winp, u.samples ** 2)
+    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
+    # is exact in binary, so this matches weighting 1/2 u^2 directly
+    ddt, damping, dilation, lam, w, win, winp = _window_terms(
+        g, u_prev, u, u_next, t, dt, s, np.square)
+    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
 
     ux = deriv(u)
     hux = hilbert(ux)

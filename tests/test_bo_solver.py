@@ -141,6 +141,11 @@ class TestTrajectory:
         assert err.value.step >= 1
         assert len(err.value.partial) >= 1
 
+    def test_blowup_error_carries_partial_states(self, grid_small):
+        state = bv.TrajectoryState(bv.zeros(grid_small), 2.0, 0)
+        err = BlowupError(2.5, 5, [state])
+        assert (err.t, err.step, err.partial) == (2.5, 5, [state])
+
 
 class TestInvariants:
     def test_zero_field(self, grid_small):

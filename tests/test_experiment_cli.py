@@ -34,6 +34,29 @@ output.prefix = wave
 """
 
 
+GRID_AND_SOLVER = """\
+grid.n = 1024
+grid.length = 200.0
+solver.dt = 0.005
+solver.t0 = 2.0
+solver.t_end = 2.05
+"""
+
+# initial data that passes every key check but cannot start a run
+HOSTILE_INITIAL_DATA = {
+    "custom_wrong_size": "scenario = custom\ncustom.samples_file = {short}\n",
+    "soliton_too_wide": "scenario = soliton\nsoliton.c = 0.05\n",
+    "gaussian_nan": "scenario = gaussian\ngaussian.amplitude = nan\ngaussian.width = 2.0\n",
+    "random_overflow": "scenario = random\nrandom.amplitude = 1e308\n",
+}
+
+
+def hostile_cfg_text(tmp_path, case):
+    short = tmp_path / "short.txt"
+    np.savetxt(short, np.zeros(100))
+    return GRID_AND_SOLVER + HOSTILE_INITIAL_DATA[case].format(short=short)
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -88,6 +111,18 @@ class TestConfigParsing:
 
     def test_unsupported_format_rejected(self):
         raw = parse_config_text(SOLITON_CFG + "output.format = parquet\n")
+        with pytest.raises(ConfigError):
+            build_config(raw)
+
+    def test_absent_keys_take_their_defaults(self):
+        cfg = build_config(parse_config_text(GRID_AND_SOLVER + "scenario = random\n"))
+        assert cfg.params == {"seed": 0, "bandwidth": 1024 // 8, "amplitude": 1.0}
+        assert (cfg.weight.a, cfg.weight.c_scale) == (0.0, 1.0)
+        assert (cfg.solver.record_every, cfg.out_prefix) == (1, "random")
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INITIAL_DATA))
+    def test_initial_data_rejected_at_load(self, tmp_path, case):
+        raw = parse_config_text(hostile_cfg_text(tmp_path, case))
         with pytest.raises(ConfigError):
             build_config(raw)
 
@@ -167,6 +202,11 @@ class TestRun:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"scenario = soliton\n\xff\xfe\n")
+        assert main(["run", "--config", str(path)]) == 2
+
     def test_blowup_exits_3_with_aborted_manifest(self, tmp_path, capsys):
         text = """\
 scenario = gaussian
@@ -213,6 +253,18 @@ output.prefix = boom
         out = str(tmp_path / "out")
         assert main(["run", "--config", good, "--config", bad,
                      "--out", out]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_initial_data_exits_2_while_good_config_runs(self, tmp_path, capsys, jobs):
+        good = write_cfg(tmp_path, SOLITON_CFG, "good.cfg")
+        bad = write_cfg(tmp_path, hostile_cfg_text(tmp_path, "gaussian_nan")
+                        + "output.prefix = bad\n", "bad.cfg")
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", good, "--config", bad, "--out", out,
+                     "--jobs", jobs]) == 2
+        assert "bad.cfg" in capsys.readouterr().err
+        assert os.path.isfile(os.path.join(out, "wave.csv"))
+        assert glob.glob(os.path.join(out, "bad.*")) == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_duplicate_prefix_exits_2_before_any_run(self, tmp_path, capsys, jobs):

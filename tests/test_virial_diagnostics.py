@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bovirial as bv
+from bovirial.inequality_harness import check_km1
 from bovirial.spectral_core import Field
 from bovirial.virial_diagnostics import (
     a3_by_parts,
@@ -182,6 +183,23 @@ class TestLocalEnergy:
     def test_rejects_nonpositive_scale(self, gaussian_small):
         with pytest.raises(ValueError):
             bv.local_energy(gaussian_small, 0.0)
+
+
+# the entry points whose window scale `_check_lam` guards, as (field, lam) -> ...
+WINDOW_SCALE_USERS = {
+    "window": lambda u, lam: window(u.grid, lam),
+    "window_prime": lambda u, lam: window_prime(u.grid, lam),
+    "d2x_hilbert_phi": lambda u, lam: d2x_hilbert_phi(lam, u.grid),
+    "local_energy": bv.local_energy,
+    "check_km1": check_km1,
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(WINDOW_SCALE_USERS))
+def test_window_scale_must_be_positive_and_finite(gaussian_small, name, lam):
+    with pytest.raises(ValueError, match="lam must be positive"):
+        WINDOW_SCALE_USERS[name](gaussian_small, lam)
 
 
 class TestMassBudget:
