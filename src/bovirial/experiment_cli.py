@@ -176,6 +176,9 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
             raise ValueError("solver.t0 must exceed 1 (window weights are undefined below)")
         if scenario == "gaussian" and not params["width"] > 0:
             raise ValueError("gaussian.width must be positive")
+        for key in ("gaussian.center", "soliton.x0"):
+            if key in vals and not -0.5 * grid.length <= vals[key] < 0.5 * grid.length:
+                raise ValueError(f"{key} must lie in [-L/2, L/2), got {vals[key]!r}")
         if scenario == "random" and not 1 <= params["bandwidth"] <= grid.n // 3:
             raise ValueError("random.bandwidth must lie in [1, n/3]")
         cfg = ScenarioConfig(
@@ -224,50 +227,50 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _csv_rows(states, sched: WeightSchedule) -> list[str]:
-    """One CSV line per recorded state; budget cells are filled for states
-    with two equally spaced neighbors and left empty otherwise.
+_RECORD_CELLS = ("t", "I1", "I2", "E", "L1", "lam", "F")
+_MASS_CELLS = ("a1", "a2", "a3", "a4", "residual")
+_ENERGY_CELLS = ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")
 
-    States near a blowup can overflow the cubic functionals even though
-    their samples are finite; rows are flushed up to the first such state."""
-    diags = []
+
+def _cells(names, compute, *args) -> str | None:
+    """The named fields of compute(*args) as comma-separated CSV cells, or
+    None when one is not finite or an operator result overflowed on the way."""
+    try:
+        result = compute(*args)
+    except ValueError:
+        return None
+    values = [getattr(result, name) for name in names]
+    return ",".join(map(_fmt, values)) if all(map(math.isfinite, values)) else None
+
+
+def _write_records(path: str, states, sched: WeightSchedule) -> int:
+    """Write one CSV line per recorded state, budget cells filled where it has
+    two equally spaced neighbors, and return the row count. Rows stop before
+    the first state whose diagnostics are not all finite (near a blowup the
+    cubic functionals overflow first), so no cell is ever inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
+        rows = []
         for st in states:
-            try:
-                diags.append(diag_record(st.u, st.t, sched))
-            except ValueError:
+            cells = _cells(_RECORD_CELLS, diag_record, st.u, st.t, sched)
+            if cells is None:
                 break
-    states = states[: len(diags)]
-    lines = []
-    for i, (st, d) in enumerate(zip(states, diags)):
-        cells = [_fmt(d.t), _fmt(d.I1), _fmt(d.I2), _fmt(d.E), _fmt(d.L1),
-                 _fmt(d.lam), _fmt(d.F)]
-        budget_cells = [""] * (len(CSV_COLUMNS) - 7)
-        if 0 < i < len(states) - 1:
-            h_prev = states[i].t - states[i - 1].t
-            h_next = states[i + 1].t - states[i].t
-            if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mb = mass_budget(states[i - 1].u, st.u, states[i + 1].u, st.t,
-                                     h_prev, sched)
-                    eb = energy_budget(states[i - 1].u, st.u, states[i + 1].u, st.t,
-                                       h_prev, sched)
-                budget_cells = [
-                    _fmt(mb.a1), _fmt(mb.a2), _fmt(mb.a3), _fmt(mb.a4),
-                    _fmt(mb.residual),
-                    _fmt(eb.b1), _fmt(eb.b2), _fmt(eb.b3),
-                    _fmt(eb.d31), _fmt(eb.d32), _fmt(eb.d321), _fmt(eb.d322),
-                    _fmt(eb.b4), _fmt(eb.residual),
-                ]
-        lines.append(",".join(cells + budget_cells))
-    return lines
-
-
-def _write_records(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+            rows.append(cells)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for i, cells in enumerate(rows):
+                budget = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
+                if 0 < i < len(rows) - 1:
+                    prev, st, nxt = states[i - 1 : i + 2]
+                    h_prev, h_next = st.t - prev.t, nxt.t - st.t
+                    if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
+                        args = (prev.u, st.u, nxt.u, st.t, h_prev, sched)
+                        mass = _cells(_MASS_CELLS, mass_budget, *args)
+                        energy = _cells(_ENERGY_CELLS, energy_budget, *args)
+                        if mass is None or energy is None:
+                            return i
+                        budget = f",{mass},{energy}"
+                fh.write(cells + budget + "\n")
+    return len(rows)
 
 
 def _write_json(path: str, obj) -> None:
@@ -293,14 +296,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
         states = exc.partial
         status = "aborted"
         print(f"error: {exc}", file=sys.stderr)
-    lines = _csv_rows(states, cfg.weight)
-    _write_records(records_path, lines)
+    rows = _write_records(records_path, states, cfg.weight)
     manifest = {
         "config": cfg.raw,
         "version": __version__,
         "started": started,
         "finished": _now(),
-        "records": len(lines),
+        "records": rows,
         "status": status,
     }
     _write_json(manifest_path, manifest)
@@ -344,8 +346,8 @@ def _load_runs(paths: list[str], out_dir: str, mapper) -> tuple[list[int], list[
 def parse_records(path: str):
     """Read a records CSV back into (DiagRecord list, row dicts).
 
-    Raises ConfigError on malformed files: wrong header, bad floats,
-    non-increasing times."""
+    Raises ConfigError on malformed files: wrong header, bad or non-finite
+    floats, non-increasing times."""
     if not os.path.isfile(path):
         raise ConfigError(f"records file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -369,6 +371,8 @@ def parse_records(path: str):
                 row[name] = float(cell)
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad float {cell!r}") from None
+            if not math.isfinite(row[name]):
+                raise ConfigError(f"line {lineno}: {name} is not finite ({cell!r})")
         try:
             diags.append(DiagRecord(t=row["t"], I1=row["I1"], I2=row["I2"],
                                     E=row["E"], L1=row["L1"], F=row["F"],

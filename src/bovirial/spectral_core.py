@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-def _frozen(arr):
-    arr = np.ascontiguousarray(arr)
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
@@ -68,10 +67,14 @@ class Grid:
         object.__setattr__(self, "coords", _frozen(coords))
         k_full = np.fft.fftfreq(n, d=1.0 / n)  # integer k in fft order
         object.__setattr__(self, "wavenumbers", _frozen(2.0 * np.pi * k_full / self.length))
-        xi_r = 2.0 * np.pi * np.arange(n // 2 + 1) / self.length
-        object.__setattr__(self, "_xi_r", _frozen(xi_r))
-        # 2/3 rule: keep |k| <= n/3, zero the top third of the spectrum
-        object.__setattr__(self, "_keep", _frozen(np.arange(n // 2 + 1) <= n // 3))
+        # rfft half-spectrum symbols: H = -i sgn(xi) with sgn(0) = 0 and d/dx = i xi
+        # are odd, so they zero the unpaired Nyquist mode; the 2/3 rule keeps |k| <= n/3
+        k = np.arange(n // 2 + 1)
+        xi_r = 2.0 * np.pi * k / self.length
+        paired = k < n // 2
+        for name, arr in (("_xi_r", xi_r), ("_hilbert_sym", -1j * ((k > 0) & paired)),
+                          ("_deriv_sym", 1j * xi_r * paired), ("_dealias_sym", 1.0 * (k <= n // 3))):
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def spacing(self) -> float:
@@ -86,21 +89,35 @@ def make_grid(n: int, length: float) -> Grid:
     return Grid(n=n, length=length)
 
 
+def _finite(s: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(s)):
+        raise ValueError("field samples must be finite")
+    return _frozen(s)
+
+
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples bound to a grid. Samples are copied, cast to float64,
-    checked finite, and frozen."""
+    """Real samples bound to a grid: finite, length n, float64, frozen.
+    Samples from outside the package are cast, shape-checked, copied,
+    checked finite and frozen here; operator results are fresh arrays, so
+    `_computed` only checks them finite and freezes them."""
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
+        s = np.array(self.samples, dtype=np.float64)
         if s.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("field samples must be finite")
-        object.__setattr__(self, "samples", _frozen(s.copy()))
+        object.__setattr__(self, "samples", _finite(s))
+
+
+def _computed(grid: Grid, samples: np.ndarray) -> Field:
+    """Wrap a fresh float64 length-n array nothing else writes to; ValueError unless finite."""
+    f = object.__new__(Field)
+    object.__setattr__(f, "grid", grid)
+    object.__setattr__(f, "samples", _finite(samples))
+    return f
 
 
 def zeros(grid: Grid) -> Field:
@@ -121,18 +138,18 @@ def _band_limited(rng: np.random.Generator, grid: Grid, kmax: int) -> np.ndarray
     return np.fft.irfft(co, grid.n)
 
 
+def _multiply(f: Field, symbol: np.ndarray) -> Field:
+    """One rfft -> multiply by a half-spectrum symbol -> irfft round trip."""
+    return _computed(f.grid, np.fft.irfft(np.fft.rfft(f.samples) * symbol, f.grid.n))
+
+
 def hilbert(f: Field) -> Field:
     """Hilbert transform, multiplier -i sgn(xi).
 
     sgn(0) = 0 kills the mean; the Nyquist mode has no conjugate partner
     under an odd multiplier and is zeroed.
     """
-    g = f.grid
-    fh = np.fft.rfft(f.samples)
-    fh[0] = 0.0
-    fh[1:-1] *= -1j
-    fh[-1] = 0.0
-    return Field(g, np.fft.irfft(fh, g.n))
+    return _multiply(f, f.grid._hilbert_sym)
 
 
 def frac_deriv(f: Field, s: float) -> Field:
@@ -140,28 +157,18 @@ def frac_deriv(f: Field, s: float) -> Field:
     if not (np.isfinite(s) and 0.0 <= s <= 2.0):
         raise ValueError(f"fractional order must lie in [0, 2], got {s!r}")
     if s == 0.0:
-        return Field(f.grid, f.samples)
-    g = f.grid
-    fh = np.fft.rfft(f.samples)
-    fh *= g._xi_r ** s
-    return Field(g, np.fft.irfft(fh, g.n))
+        return f
+    return _multiply(f, f.grid._xi_r ** s)
 
 
 def deriv(f: Field) -> Field:
     """Spectral d/dx (odd multiplier: Nyquist zeroed)."""
-    g = f.grid
-    fh = np.fft.rfft(f.samples)
-    fh *= 1j * g._xi_r
-    fh[-1] = 0.0
-    return Field(g, np.fft.irfft(fh, g.n))
+    return _multiply(f, f.grid._deriv_sym)
 
 
 def dealias(f: Field) -> Field:
     """Zero every mode with |k| > n/3 (2/3 rule)."""
-    g = f.grid
-    fh = np.fft.rfft(f.samples)
-    fh[~g._keep] = 0.0
-    return Field(g, np.fft.irfft(fh, g.n))
+    return _multiply(f, f.grid._dealias_sym)
 
 
 def inner(f: Field, g: Field) -> float:
@@ -172,7 +179,7 @@ def inner(f: Field, g: Field) -> float:
 
 
 def l2_norm(f: Field) -> float:
-    return float(np.sqrt(max(inner(f, f), 0.0)))
+    return float(np.sqrt(inner(f, f)))
 
 
 def fourier_l1_deriv(w: Field) -> float:
@@ -193,4 +200,4 @@ def reflect(f: Field) -> Field:
     """Spatial reflection x -> -x on the periodic grid (index 0 fixed)."""
     g = f.grid
     idx = (g.n - np.arange(g.n)) % g.n
-    return Field(g, f.samples[idx])
+    return _computed(g, f.samples[idx])

@@ -48,6 +48,11 @@ HOSTILE_INITIAL_DATA = {
     "soliton_too_wide": "scenario = soliton\nsoliton.c = 0.05\n",
     "gaussian_nan": "scenario = gaussian\ngaussian.amplitude = nan\ngaussian.width = 2.0\n",
     "random_overflow": "scenario = random\nrandom.amplitude = 1e308\n",
+    # a centre outside the box [-L/2, L/2) = [-100, 100) would give
+    # (nearly) all-zero records
+    "gaussian_center_inf": "scenario = gaussian\ngaussian.amplitude = 1.0\n"
+                           "gaussian.width = 2.0\ngaussian.center = inf\n",
+    "soliton_x0_outside": "scenario = soliton\nsoliton.c = 1.0\nsoliton.x0 = 1000\n",
 }
 
 
@@ -226,6 +231,29 @@ output.prefix = boom
         assert manifest["status"] == "aborted"
         assert os.path.isfile(os.path.join(out, "boom.csv"))
 
+    def test_blowup_writes_only_finite_cells(self, tmp_path):
+        # the third recorded state still has finite samples, but its I2, E
+        # and F overflow; the records stop before it
+        text = """\
+scenario = gaussian
+grid.n = 256
+grid.length = 100.0
+solver.dt = 0.05
+solver.t0 = 2.0
+solver.t_end = 400.0
+gaussian.amplitude = 300.0
+gaussian.width = 2.0
+"""
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 3
+        manifest = json.load(open(os.path.join(out, "gaussian.manifest.json")))
+        assert manifest["status"] == "aborted"
+        with open(os.path.join(out, "gaussian.csv")) as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        assert manifest["records"] == len(rows) == 2
+        assert all(math.isfinite(float(c)) for row in rows for c in row if c)
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
         out = str(tmp_path / "envout")
@@ -356,6 +384,20 @@ def synthetic_records(path, a=0.0, c=1.0, n=2000):
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("column, cell", [("E", "nan"), ("F", "inf")])
+    def test_non_finite_cell_exits_2(self, tmp_path, capsys, column, cell):
+        rec = tmp_path / "r.csv"
+        synthetic_records(str(rec))
+        lines = rec.read_text().splitlines()
+        cells = lines[40].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[40] = ",".join(cells)
+        rec.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--records", str(rec), "--out", str(out)]) == 2
+        assert "line 41" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_constant_decay_integral_is_log_four(self, tmp_path):
         rec = tmp_path / "r.csv"
         synthetic_records(str(rec))
