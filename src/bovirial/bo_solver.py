@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, _computed, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, deriv, frac_deriv, hilbert, inner
 
 __all__ = [
     "BlowupError",
@@ -143,7 +143,7 @@ def bo_rhs(u: Field, dealias: bool = True) -> Field:
     """Right-hand side -d/dx(H u_x + u^2) as a real field."""
     g = u.grid
     out = -g._deriv_sym * g._xi_r * np.fft.rfft(u.samples)  # -i xi|xi| on xi >= 0
-    return _computed(g, np.fft.irfft(out + _flux(u.samples, g, dealias), g.n))
+    return Field(g, np.fft.irfft(out + _flux(u.samples, g, dealias), g.n))
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> list[TrajectoryState]:

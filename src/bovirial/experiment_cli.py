@@ -297,6 +297,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
         status = "aborted"
         print(f"error: {exc}", file=sys.stderr)
     rows = _write_records(records_path, states, cfg.weight)
+    if rows < len(states):
+        status = "aborted"
+        print(f"error: diagnostics not finite at t={states[rows].t:g}; "
+              f"records stop after {rows} of {len(states)} states", file=sys.stderr)
     manifest = {
         "config": cfg.raw,
         "version": __version__,

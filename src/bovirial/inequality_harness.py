@@ -27,7 +27,6 @@ from .spectral_core import (
     Field,
     Grid,
     _band_limited,
-    _computed,
     _same_grid,
     dealias as spectral_dealias,
     deriv,
@@ -143,13 +142,13 @@ def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:
     g = _same_grid(phi_w, u)
 
     def product(a: np.ndarray, b: np.ndarray) -> Field:
-        p = _computed(g, a * b)
+        p = Field(g, a * b)
         return spectral_dealias(p) if dealias else p
 
     du = frac_deriv(u, 0.5)
     bracket = frac_deriv(product(phi_w.samples, u.samples), 0.5).samples \
         - product(phi_w.samples, du.samples).samples
-    return frac_deriv(_computed(g, bracket), 0.5)
+    return frac_deriv(Field(g, bracket), 0.5)
 
 
 def _weight_integrals(f: Field, lam: float) -> tuple[np.ndarray, float]:

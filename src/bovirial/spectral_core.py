@@ -89,18 +89,12 @@ def make_grid(n: int, length: float) -> Grid:
     return Grid(n=n, length=length)
 
 
-def _finite(s: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(s)):
-        raise ValueError("field samples must be finite")
-    return _frozen(s)
-
-
 @dataclass(frozen=True, eq=False)
 class Field:
     """Real samples bound to a grid: finite, length n, float64, frozen.
-    Samples from outside the package are cast, shape-checked, copied,
-    checked finite and frozen here; operator results are fresh arrays, so
-    `_computed` only checks them finite and freezes them."""
+    Every Field, whether built from outside samples or from an operator
+    result, is made here: the samples are cast, shape-checked, copied,
+    checked finite and frozen, so an overflowing result raises ValueError."""
 
     grid: Grid
     samples: np.ndarray
@@ -109,15 +103,9 @@ class Field:
         s = np.array(self.samples, dtype=np.float64)
         if s.shape != (self.grid.n,):
             raise ValueError(f"expected {self.grid.n} samples, got shape {s.shape}")
-        object.__setattr__(self, "samples", _finite(s))
-
-
-def _computed(grid: Grid, samples: np.ndarray) -> Field:
-    """Wrap a fresh float64 length-n array nothing else writes to; ValueError unless finite."""
-    f = object.__new__(Field)
-    object.__setattr__(f, "grid", grid)
-    object.__setattr__(f, "samples", _finite(samples))
-    return f
+        if not np.all(np.isfinite(s)):
+            raise ValueError("field samples must be finite")
+        object.__setattr__(self, "samples", _frozen(s))
 
 
 def zeros(grid: Grid) -> Field:
@@ -140,7 +128,7 @@ def _band_limited(rng: np.random.Generator, grid: Grid, kmax: int) -> np.ndarray
 
 def _multiply(f: Field, symbol: np.ndarray) -> Field:
     """One rfft -> multiply by a half-spectrum symbol -> irfft round trip."""
-    return _computed(f.grid, np.fft.irfft(np.fft.rfft(f.samples) * symbol, f.grid.n))
+    return Field(f.grid, np.fft.irfft(np.fft.rfft(f.samples) * symbol, f.grid.n))
 
 
 def hilbert(f: Field) -> Field:
@@ -200,4 +188,4 @@ def reflect(f: Field) -> Field:
     """Spatial reflection x -> -x on the periodic grid (index 0 fixed)."""
     g = f.grid
     idx = (g.n - np.arange(g.n)) % g.n
-    return _computed(g, f.samples[idx])
+    return Field(g, f.samples[idx])

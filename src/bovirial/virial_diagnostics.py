@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo_solver import invariants
-from .spectral_core import Field, Grid, _computed, _same_grid, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _same_grid, deriv, frac_deriv, hilbert, inner
 from .spectral_core import dealias as spectral_dealias
 
 __all__ = [
@@ -135,13 +135,13 @@ def _check_lam(lam: float) -> float:
 
 def window(grid: Grid, lam: float) -> Field:
     """Sampled phi(x/lam)."""
-    return _computed(grid, phi(grid.coords / _check_lam(lam)))
+    return Field(grid, phi(grid.coords / _check_lam(lam)))
 
 
 def window_prime(grid: Grid, lam: float) -> Field:
     """Sampled phi'(x/lam) (no 1/lam chain factor; callers keep those
     explicit)."""
-    return _computed(grid, phi_prime(grid.coords / _check_lam(lam)))
+    return Field(grid, phi_prime(grid.coords / _check_lam(lam)))
 
 
 def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
@@ -161,7 +161,7 @@ def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
     _check_lam(lam)
     jump = 2.0 * np.arctan(grid.length / (2.0 * lam))
     ramp = jump * (0.5 + grid.coords / grid.length)
-    smooth = _computed(grid, phi(grid.coords / lam) - ramp)
+    smooth = Field(grid, phi(grid.coords / lam) - ramp)
     return deriv(deriv(hilbert(smooth)))
 
 
@@ -289,7 +289,7 @@ def _window_terms(g: Grid, u_prev: Field, u: Field, u_next: Field, t: float,
 def _flux_field(u: Field) -> Field:
     # same 2/3 truncation as the solver's nonlinearity, so a4 is exactly
     # the flux term the trajectory actually felt
-    return deriv(spectral_dealias(_computed(u.grid, u.samples * u.samples)))
+    return deriv(spectral_dealias(Field(u.grid, u.samples * u.samples)))
 
 
 def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
@@ -365,7 +365,7 @@ def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     # then an exact adjointness identity, not a band-limited approximation
     from .inequality_harness import commutator_half
 
-    d322 = inner(u, commutator_half(_computed(g, winp), u, dealias=False))
+    d322 = inner(u, commutator_half(Field(g, winp), u, dealias=False))
 
     b3 = -w * (d31 + d32 / lam)
     b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples ** 3)

@@ -231,22 +231,25 @@ output.prefix = boom
         assert manifest["status"] == "aborted"
         assert os.path.isfile(os.path.join(out, "boom.csv"))
 
-    def test_blowup_writes_only_finite_cells(self, tmp_path):
-        # the third recorded state still has finite samples, but its I2, E
-        # and F overflow; the records stop before it
-        text = """\
+    @pytest.mark.parametrize("t_end", ["400.0", "2.1"])
+    def test_blowup_writes_only_finite_cells(self, tmp_path, capsys, t_end):
+        # the third recorded state (t = 2.1) still has finite samples, but its
+        # I2, E and F overflow; the records stop before it and say so, also
+        # when the run ends there instead of blowing up one step later
+        text = f"""\
 scenario = gaussian
 grid.n = 256
 grid.length = 100.0
 solver.dt = 0.05
 solver.t0 = 2.0
-solver.t_end = 400.0
+solver.t_end = {t_end}
 gaussian.amplitude = 300.0
 gaussian.width = 2.0
 """
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == 3
+        assert "not finite at t=2.1" in capsys.readouterr().err
         manifest = json.load(open(os.path.join(out, "gaussian.manifest.json")))
         assert manifest["status"] == "aborted"
         with open(os.path.join(out, "gaussian.csv")) as fh:
