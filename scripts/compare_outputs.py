@@ -13,7 +13,9 @@ temporary directory:
 
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. The script
-prints one line per file and exits 1 on any difference, 0 otherwise.
+prints one line per file, then the line totals of `src/bovirial/*.py` in
+both trees (the size the code should shrink by), and exits 1 on any
+output difference, 0 otherwise.
 Stdlib only; both trees together take about half a minute on two cores
 (most of it the `soliton_decay` run). A reference
 tree of an earlier commit can be made offline, for example with
@@ -23,6 +25,7 @@ tree of an earlier commit can be made offline, for example with
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -47,6 +50,15 @@ def _produce(tree: str, out: str) -> None:
                  ["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                   "--out", os.path.join(out, "analyze")]):
         subprocess.run(cli + args, env=env, cwd=out, check=True)
+
+
+def _src_lines(tree: str) -> int:
+    """Newline count over `tree/src/bovirial/*.py`, as `wc -l` totals it."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "bovirial", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _files(root: str) -> set[str]:
@@ -87,6 +99,7 @@ def main(argv: list[str]) -> int:
             differ += verdict != "identical"
             print(f"{verdict:>12}  {rel}")
     print(f"{len(ref_files | new_files) - differ} identical, {differ} differing")
+    print(f"src lines: {_src_lines(ref_tree)} in reference, {_src_lines(HERE)} in this tree")
     return 1 if differ else 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _positive, deriv, frac_deriv, hilbert, inner
 
 __all__ = [
     "BlowupError",
@@ -62,8 +62,7 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        _positive(self.dt, "dt")
         if not (np.isfinite(self.t0) and self.t0 >= 0):
             raise ValueError(f"t0 must be >= 0, got {self.t0!r}")
         if not (np.isfinite(self.t_end) and self.t_end > self.t0):
@@ -217,8 +216,7 @@ class SolitonParams:
     validated: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+        _positive(self.scale, "scale")
 
 
 def soliton_profile(p: SolitonParams, grid: Grid) -> Field:
@@ -236,9 +234,7 @@ def soliton(c: float, x0: float, grid: Grid) -> tuple[Field, SolitonParams]:
     returned params is ~1e-16; the classical (4c, +c) pairing leaves an
     O(1) residual and is reported, never asserted).
     """
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"c must be positive, got {c!r}")
-    if 1.0 / c > grid.length / 20.0:
+    if 1.0 / _positive(c, "c") > grid.length / 20.0:
         raise ValueError(
             f"profile too wide for the grid: width 1/c = {1.0 / c:g} exceeds "
             f"length/20 = {grid.length / 20.0:g}"

@@ -51,7 +51,7 @@ from .inequality_harness import (
     calibrate,
     run_check,
 )
-from .spectral_core import Field, Grid, _band_limited, make_grid
+from .spectral_core import Field, Grid, _band_limited, _positive, make_grid
 from .virial_diagnostics import (
     DiagRecord,
     WeightSchedule,
@@ -174,11 +174,17 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
         check_stability(solver, grid)
         if solver.t0 <= 1.0:
             raise ValueError("solver.t0 must exceed 1 (window weights are undefined below)")
-        if scenario == "gaussian" and not params["width"] > 0:
-            raise ValueError("gaussian.width must be positive")
+        if scenario == "gaussian":
+            _positive(params["width"], "gaussian.width")
         for key in ("gaussian.center", "soliton.x0"):
             if key in vals and not -0.5 * grid.length <= vals[key] < 0.5 * grid.length:
                 raise ValueError(f"{key} must lie in [-L/2, L/2), got {vals[key]!r}")
+        if scenario == "soliton":
+            # keep the wave L/8 clear of the periodic seam for the whole run
+            reach = abs(params["x0"]) + params["c"] * (solver.t_end - solver.t0)
+            if reach >= 0.375 * grid.length:
+                raise ValueError(f"soliton reaches |x| = |x0| + c (t_end - t0) = {reach:g}, "
+                                 f"not below 3L/8 = {0.375 * grid.length:g}")
         if scenario == "random" and not 1 <= params["bandwidth"] <= grid.n // 3:
             raise ValueError("random.bandwidth must lie in [1, n/3]")
         cfg = ScenarioConfig(
@@ -191,13 +197,17 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
     return cfg
 
 
-def load_config(path: str) -> ScenarioConfig:
+def _read_text(path: str) -> str:
+    """The whole input file as UTF-8 text; an unreadable file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    return build_config(parse_config_text(text))
+        raise ConfigError(f"cannot read input file: {exc}") from None
+
+
+def load_config(path: str) -> ScenarioConfig:
+    return build_config(parse_config_text(_read_text(path)))
 
 
 def initial_condition(cfg: ScenarioConfig) -> Field:
@@ -352,10 +362,7 @@ def parse_records(path: str):
 
     Raises ConfigError on malformed files: wrong header, bad or non-finite
     floats, non-increasing times."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"records file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = _read_text(path).split("\n")
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ConfigError("records file has a wrong or missing header")
     diags: list[DiagRecord] = []
@@ -470,9 +477,9 @@ def analyze_records(records_path: str, a: float, c_scale: float, out_dir: str) -
 def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: str) -> int:
     if not lams:
         raise ConfigError("need at least one lambda value")
-    if any((not np.isfinite(l)) or l <= 0 for l in lams):
-        raise ConfigError("lambda values must be positive and finite")
     try:
+        for lam in lams:
+            _positive(lam, "lambda")
         grid = make_grid(grid_n, grid_length)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

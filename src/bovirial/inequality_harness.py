@@ -27,6 +27,7 @@ from .spectral_core import (
     Field,
     Grid,
     _band_limited,
+    _positive,
     _same_grid,
     dealias as spectral_dealias,
     deriv,
@@ -36,7 +37,7 @@ from .spectral_core import (
     inner,
     l2_norm,
 )
-from .virial_diagnostics import _check_lam, phi, phi_prime, window_prime
+from .virial_diagnostics import phi, phi_prime, window_prime
 
 __all__ = [
     "DEFAULT_SEED",
@@ -153,7 +154,7 @@ def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:
 
 def _weight_integrals(f: Field, lam: float) -> tuple[np.ndarray, float]:
     g = f.grid
-    wp = phi_prime(g.coords / _check_lam(lam))
+    wp = phi_prime(g.coords / _positive(lam, "lam"))
     rhs_unit = float(g.spacing * np.sum(wp * f.samples ** 2)) / lam
     if rhs_unit == 0.0:
         raise ValueError("zero input field")

@@ -42,15 +42,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _positive(value, name: str):
+    """Return value, raising ValueError unless it is positive and finite:
+    the one check every length, scale and step goes through."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform sampling of [-L/2, L/2) with n points.
 
     n must be a power of two (>= 16) so transform sizes stay fast and the
     dealiasing mask is unambiguous. Derived arrays are computed once and
-    frozen; `wavenumbers` lists the full set 2 pi k / L for
-    k = -n/2 .. n/2 - 1 in fft order, while the rfft half-spectrum used
-    internally is kept private.
+    frozen; the rfft half-spectrum symbols the operators use are private.
     """
 
     n: int
@@ -60,13 +66,9 @@ class Grid:
         n, length = self.n, self.length
         if not isinstance(n, int) or n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n!r}")
-        if not (np.isfinite(length) and length > 0):
-            raise ValueError(f"grid length must be positive and finite, got {length!r}")
-        object.__setattr__(self, "length", float(length))
+        object.__setattr__(self, "length", float(_positive(length, "grid length")))
         coords = -0.5 * self.length + self.spacing * np.arange(n)
         object.__setattr__(self, "coords", _frozen(coords))
-        k_full = np.fft.fftfreq(n, d=1.0 / n)  # integer k in fft order
-        object.__setattr__(self, "wavenumbers", _frozen(2.0 * np.pi * k_full / self.length))
         # rfft half-spectrum symbols: H = -i sgn(xi) with sgn(0) = 0 and d/dx = i xi
         # are odd, so they zero the unpaired Nyquist mode; the 2/3 rule keeps |k| <= n/3
         k = np.arange(n // 2 + 1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo_solver import invariants
-from .spectral_core import Field, Grid, _same_grid, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _positive, _same_grid, deriv, frac_deriv, hilbert, inner
 from .spectral_core import dealias as spectral_dealias
 
 __all__ = [
@@ -82,8 +82,7 @@ class WeightSchedule:
     def __post_init__(self):
         if not (np.isfinite(self.a) and 0.0 <= self.a < 0.5):
             raise ValueError(f"a must lie in [0, 1/2), got {self.a!r}")
-        if not (np.isfinite(self.c_scale) and self.c_scale > 0):
-            raise ValueError(f"c_scale must be positive, got {self.c_scale!r}")
+        _positive(self.c_scale, "c_scale")
 
     @property
     def b(self) -> float:
@@ -126,22 +125,15 @@ def eta_at(t: float) -> float:
     return 1.0 / (t * math.log(t))
 
 
-def _check_lam(lam: float) -> float:
-    """Return lam, raising ValueError unless it is positive and finite."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
-    return lam
-
-
 def window(grid: Grid, lam: float) -> Field:
     """Sampled phi(x/lam)."""
-    return Field(grid, phi(grid.coords / _check_lam(lam)))
+    return Field(grid, phi(grid.coords / _positive(lam, "lam")))
 
 
 def window_prime(grid: Grid, lam: float) -> Field:
     """Sampled phi'(x/lam) (no 1/lam chain factor; callers keep those
     explicit)."""
-    return Field(grid, phi_prime(grid.coords / _check_lam(lam)))
+    return Field(grid, phi_prime(grid.coords / _positive(lam, "lam")))
 
 
 def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
@@ -158,8 +150,7 @@ def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
     image that the finite box cuts off (measured 2.3e-5 at (4096, 400) and
     5.8e-6 at (8192, 800), for lam = 1, 5 and 20 alike).
     """
-    _check_lam(lam)
-    jump = 2.0 * np.arctan(grid.length / (2.0 * lam))
+    jump = 2.0 * np.arctan(grid.length / (2.0 * _positive(lam, "lam")))
     ramp = jump * (0.5 + grid.coords / grid.length)
     smooth = Field(grid, phi(grid.coords / lam) - ramp)
     return deriv(deriv(hilbert(smooth)))
@@ -178,8 +169,7 @@ class DiagRecord:
     def __post_init__(self):
         if not self.F >= 0.0:
             raise ValueError(f"local energy must be nonnegative, got {self.F!r}")
-        if not self.lam > 0.0:
-            raise ValueError(f"window scale must be positive, got {self.lam!r}")
+        _positive(self.lam, "window scale")
         if not self.I2 >= 0.0:
             raise ValueError(f"I2 must be nonnegative, got {self.I2!r}")
 
@@ -187,7 +177,7 @@ class DiagRecord:
 def local_energy(u: Field, lam: float) -> float:
     """F = int phi'(x/lam) (u^2 + (D^{1/2}u)^2) dx, always >= 0."""
     g = u.grid
-    wp = phi_prime(g.coords / _check_lam(lam))
+    wp = phi_prime(g.coords / _positive(lam, "lam"))
     dh = frac_deriv(u, 0.5)
     val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh.samples ** 2))
     return float(val)
@@ -247,15 +237,10 @@ class EnergyBudget:
     residual: float
 
 
-def _budget_guard(u_prev: Field, u: Field, u_next: Field, t: float, dt: float) -> Grid:
+def _budget_guard(u_prev: Field, u: Field, u_next: Field, dt: float) -> Grid:
     g = _same_grid(u, u_prev)
     _same_grid(u, u_next)
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t - dt <= 1.0:
-        raise ValueError(
-            f"budgets evaluate weights at t-dt = {t - dt!r}, which must exceed 1"
-        )
+    _positive(dt, "dt")
     return g
 
 
@@ -300,7 +285,7 @@ def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     (weights evaluated at their own times); a1..a4 are evaluated at t with
     analytic w' and lambda'.
     """
-    g = _budget_guard(u_prev, u, u_next, t, dt)
+    g = _budget_guard(u_prev, u, u_next, dt)
     ddt, a1, a2, _, w, win, _ = _window_terms(g, u_prev, u, u_next, t, dt, s,
                                               lambda v: v)
     disp = deriv(deriv(hilbert(u)))
@@ -340,14 +325,14 @@ def weighted_dispersive_flux(u: Field, lam: float) -> float:
     """int phi(x/lam) (H u_xx) u dx, the dispersive contribution to the
     energy budget before splitting; equals -(d31 + d32/lam)."""
     g = u.grid
-    win = phi(g.coords / lam)
+    win = phi(g.coords / _positive(lam, "lam"))
     disp = deriv(deriv(hilbert(u)))
     return _weighted_sum(g, win, disp.samples * u.samples)
 
 
 def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
                   s: WeightSchedule) -> EnergyBudget:
-    g = _budget_guard(u_prev, u, u_next, t, dt)
+    g = _budget_guard(u_prev, u, u_next, dt)
     # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
     # is exact in binary, so this matches weighting 1/2 u^2 directly
     ddt, damping, dilation, lam, w, win, winp = _window_terms(

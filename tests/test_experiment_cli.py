@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from bovirial.experiment_cli import (
     CSV_COLUMNS,
     ConfigError,
     build_config,
+    load_config,
     main,
     parse_config_text,
     parse_records,
 )
 from bovirial.virial_diagnostics import lambda_at
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 SOLITON_CFG = """\
 # traveling wave, short horizon
@@ -53,6 +57,8 @@ HOSTILE_INITIAL_DATA = {
     "gaussian_center_inf": "scenario = gaussian\ngaussian.amplitude = 1.0\n"
                            "gaussian.width = 2.0\ngaussian.center = inf\n",
     "soliton_x0_outside": "scenario = soliton\nsoliton.c = 1.0\nsoliton.x0 = 1000\n",
+    # inside the box, but within L/8 of the periodic seam
+    "soliton_near_seam": "scenario = soliton\nsoliton.c = 1.0\nsoliton.x0 = 90\n",
 }
 
 
@@ -130,6 +136,11 @@ class TestConfigParsing:
         raw = parse_config_text(hostile_cfg_text(tmp_path, case))
         with pytest.raises(ConfigError):
             build_config(raw)
+
+    @pytest.mark.parametrize("name", ["soliton_decay", "gaussian_budget", "random_field"])
+    def test_stock_config_loads(self, name):
+        # no load rule may reject a config the repository ships
+        assert load_config(str(SCRIPTS / f"{name}.cfg")).out_prefix == name
 
 
 class TestRun:
@@ -434,6 +445,15 @@ class TestAnalyze:
                      os.path.join(run_out, "wave.csv"),
                      "--a", "0.0", "--c", "1.0",
                      "--out", str(tmp_path / "ana")]) == 2
+
+    def test_records_not_utf8_exits_2(self, tmp_path, capsys):
+        rec = tmp_path / "r.csv"
+        synthetic_records(str(rec))
+        rec.write_bytes(rec.read_bytes() + b"\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--records", str(rec), "--out", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_missing_records_exits_2(self, tmp_path):
         assert main(["analyze", "--records", str(tmp_path / "no.csv"),

@@ -52,7 +52,7 @@ class TestGrid:
 
     def test_wavenumber_spacing(self):
         g = make_grid(64, 32.0)
-        assert g.wavenumbers[1] == pytest.approx(2.0 * math.pi / 32.0)
+        assert g._xi_r[1] == pytest.approx(2.0 * math.pi / 32.0)
 
     def test_arrays_frozen(self):
         g = make_grid(64, 32.0)

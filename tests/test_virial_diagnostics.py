@@ -185,13 +185,14 @@ class TestLocalEnergy:
             bv.local_energy(gaussian_small, 0.0)
 
 
-# the entry points whose window scale `_check_lam` guards, as (field, lam) -> ...
+# the entry points whose window scale `spectral_core._positive` guards, as (field, lam) -> ...
 WINDOW_SCALE_USERS = {
     "window": lambda u, lam: window(u.grid, lam),
     "window_prime": lambda u, lam: window_prime(u.grid, lam),
     "d2x_hilbert_phi": lambda u, lam: d2x_hilbert_phi(lam, u.grid),
     "local_energy": bv.local_energy,
     "check_km1": check_km1,
+    "weighted_dispersive_flux": weighted_dispersive_flux,
 }
 
 
