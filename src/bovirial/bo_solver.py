@@ -224,15 +224,16 @@ def soliton_profile(p: SolitonParams, grid: Grid) -> Field:
     return Field(grid, p.amplitude / (1.0 + z * z))
 
 
-def soliton(c: float, x0: float, grid: Grid) -> tuple[Field, SolitonParams]:
-    """Classical solitary-wave profile 4c/(1 + c^2 (x-x0)^2), plus the
-    parameter record certified for this discretization.
+def soliton(c: float, x0: float, grid: Grid) -> tuple[SolitonParams, SolitonParams]:
+    """The classical and the certified parameter records of the solitary
+    wave of scale c centered at x0, as (classical, certified).
 
-    The returned params carry (amplitude, speed) = (-2c, -c): the member
-    of the same scale family that satisfies the traveling-wave equation
-    under the sign conventions integrated here (profile_residual of the
-    returned params is ~1e-16; the classical (4c, +c) pairing leaves an
-    O(1) residual and is reported, never asserted).
+    The classical record is the textbook pairing (amplitude, speed) =
+    (4c, +c), profile 4c/(1 + c^2 (x-x0)^2); under the sign conventions
+    integrated here it leaves an O(1) profile_residual and is reported,
+    never asserted. The certified record carries (-2c, -c): the member of
+    the same scale family that satisfies the traveling-wave equation
+    (profile_residual ~1e-16).
     """
     if 1.0 / _positive(c, "c") > grid.length / 20.0:
         raise ValueError(
@@ -241,7 +242,7 @@ def soliton(c: float, x0: float, grid: Grid) -> tuple[Field, SolitonParams]:
         )
     classical = SolitonParams(amplitude=4.0 * c, scale=c, center=x0, speed=c)
     certified = SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c, validated=True)
-    return soliton_profile(classical, grid), certified
+    return classical, certified
 
 
 def _hilbert_deriv_closed_form(p: SolitonParams, grid: Grid) -> np.ndarray:

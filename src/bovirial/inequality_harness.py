@@ -40,8 +40,6 @@ from .spectral_core import (
 from .virial_diagnostics import phi, phi_prime, window_prime
 
 __all__ = [
-    "DEFAULT_SEED",
-    "DEFAULT_LAMBDAS",
     "LemmaReport",
     "Corpus",
     "build_corpus",

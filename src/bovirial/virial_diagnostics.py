@@ -35,12 +35,6 @@ __all__ = [
     "DiagRecord",
     "MassBudget",
     "EnergyBudget",
-    "phi",
-    "phi_prime",
-    "phi_pp",
-    "window",
-    "window_prime",
-    "d2x_hilbert_phi",
     "lambda_at",
     "lambda_prime_at",
     "w_at",
@@ -49,9 +43,6 @@ __all__ = [
     "local_energy",
     "diag_record",
     "mass_budget",
-    "a3_by_parts",
-    "a3_closed_form",
-    "weighted_dispersive_flux",
     "energy_budget",
     "integrated_decay",
 ]

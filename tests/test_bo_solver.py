@@ -174,7 +174,8 @@ class TestSolitonFamily:
         # amplitude-4c convention: c = 2 centered at 5 peaks at 8 and has
         # half-maximum width 1
         g = bv.make_grid(4096, 400.0)
-        f, _ = bv.soliton(2.0, 5.0, g)
+        classical, _ = bv.soliton(2.0, 5.0, g)
+        f = bv.soliton_profile(classical, g)
         x = g.coords
         i = int(np.argmax(f.samples))
         # the peak value 8 sits between samples; the sampled max matches

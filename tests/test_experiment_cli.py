@@ -495,6 +495,15 @@ class TestCheckLemmas:
         assert main(["check-lemmas", "--lambdas", "1,-4",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("args", [["--seed", "-1"],
+                                      ["--grid-n", "64", "--grid-length", "1e308"]],
+                             ids=["seed", "grid_length"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "lem"
+        assert main(["check-lemmas", *args, "--lambdas", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "lemma_summary.json").exists()
+
 
 class TestSolitonTest:
     def test_certified_family_passes(self, capsys):

@@ -1,5 +1,6 @@
-"""Package surface: every exported name resolves, and so does every
-attribute the benchmark looks up."""
+"""Package surface: every exported name resolves, the package exports
+exactly its layers' own lists, and every attribute the benchmark looks up
+resolves."""
 
 import importlib
 import pkgutil
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bovirial
-from bovirial import experiment_cli
+from bovirial import bo_solver, experiment_cli, inequality_harness, spectral_core, virial_diagnostics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,6 +21,15 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_surface_is_the_layers_all():
+    # the package declares no public name of its own: its namespace is the
+    # four library layers' __all__, in layer order, object for object
+    layers = (spectral_core, bo_solver, virial_diagnostics, inequality_harness)
+    assert bovirial.__all__ == ["__version__", *(n for m in layers for n in m.__all__)]
+    assert [(m.__name__, n) for m in layers for n in m.__all__
+            if getattr(bovirial, n) is not getattr(m, n)] == []
 
 
 def test_every_attribute_the_benchmark_patches_resolves():
