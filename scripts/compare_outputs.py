@@ -9,7 +9,9 @@ temporary directory:
   * `run` on the three stock configs in `scripts/` (taken from this tree,
     so only the program differs);
   * `check-lemmas` with its defaults;
-  * `analyze` on the `soliton_decay` records.
+  * `analyze` on the `soliton_decay` records;
+  * `soliton-test --c 1 --validate-family`, its stdout kept as
+    `soliton_test.txt`.
 
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. The script
@@ -50,6 +52,9 @@ def _produce(tree: str, out: str) -> None:
                  ["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                   "--out", os.path.join(out, "analyze")]):
         subprocess.run(cli + args, env=env, cwd=out, check=True)
+    with open(os.path.join(out, "soliton_test.txt"), "wb") as fh:
+        subprocess.run(cli + ["soliton-test", "--c", "1", "--validate-family"],
+                       env=env, cwd=out, check=True, stdout=fh)
 
 
 def _src_lines(tree: str) -> int:

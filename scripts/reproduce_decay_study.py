@@ -38,7 +38,6 @@ def run(out_dir: str) -> int:
           ", ".join(f"F({t:.0f})={f:.4f}" for t, f in minima))
     print(f"monotone             {summary['minima_monotone']}")
 
-    first_f = minima[0][1] if minima else float("nan")
     with open(os.path.join(out_dir, "F_vs_t.dat")) as fh:
         lines = fh.read().split()
     f10, f200 = float(lines[1]), float(lines[-1])

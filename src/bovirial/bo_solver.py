@@ -100,14 +100,12 @@ def check_stability(cfg: SolverConfig, grid: Grid) -> None:
 class TrajectoryState:
     u: Field
     t: float
-    step: int
 
 
-def _flux(w: np.ndarray, grid: Grid, dealias: bool = True) -> np.ndarray:
-    """Half spectrum of -d/dx(w^2): the square truncated by the 2/3 rule,
-    or with only the unpaired Nyquist mode of the odd multiplier zeroed."""
+def _flux(w: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum of -d/dx(w^2): the square truncated by the 2/3 rule."""
     fh = np.fft.rfft(w * w)
-    fh[grid.n // 3 + 1 if dealias else grid.n // 2:] = 0.0
+    fh[grid.n // 3 + 1:] = 0.0
     return -1j * grid._xi_r * fh
 
 
@@ -138,14 +136,14 @@ class _Plan:
         return e2 * vh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
 
 
-def bo_rhs(u: Field, dealias: bool = True) -> Field:
+def bo_rhs(u: Field) -> Field:
     """Right-hand side -d/dx(H u_x + u^2) as a real field."""
     g = u.grid
     out = -g._deriv_sym * g._xi_r * np.fft.rfft(u.samples)  # -i xi|xi| on xi >= 0
-    return Field(g, np.fft.irfft(out + _flux(u.samples, g, dealias), g.n))
+    return Field(g, np.fft.irfft(out + _flux(u.samples, g), g.n))
 
 
-def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> list[TrajectoryState]:
+def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:
     """Integrate from t0 to t_end, returning the recorded states.
 
     Records are kept at step 0, every `record_every` steps, and at the
@@ -159,13 +157,10 @@ def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> l
     n_steps = cfg.n_steps
     plan = _Plan(g, cfg.dt)
     vh = np.fft.rfft(u0.samples)
-    records = [TrajectoryState(u0, cfg.t0, 0)]
+    records = [TrajectoryState(u0, cfg.t0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            if nonlinear:
-                vh = plan.advance(vh)
-            else:
-                vh = plan.e_full * vh
+            vh = plan.advance(vh)
             if k % cfg.record_every == 0 or k == n_steps:
                 t_k = cfg.t0 + k * cfg.dt
                 # Field copies the transform's output: kept as is, it made glibc trim and regrow
@@ -174,7 +169,7 @@ def run_trajectory(u0: Field, cfg: SolverConfig, *, nonlinear: bool = True) -> l
                     u = Field(g, np.fft.irfft(vh, g.n))
                 except ValueError:
                     raise BlowupError(t_k, k, records) from None
-                records.append(TrajectoryState(u, t_k, k))
+                records.append(TrajectoryState(u, t_k))
     return records
 
 
@@ -213,7 +208,6 @@ class SolitonParams:
     scale: float
     center: float
     speed: float
-    validated: bool = False
 
     def __post_init__(self):
         _positive(self.scale, "scale")
@@ -241,7 +235,7 @@ def soliton(c: float, x0: float, grid: Grid) -> tuple[SolitonParams, SolitonPara
             f"length/20 = {grid.length / 20.0:g}"
         )
     classical = SolitonParams(amplitude=4.0 * c, scale=c, center=x0, speed=c)
-    certified = SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c, validated=True)
+    certified = SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c)
     return classical, certified
 
 

@@ -70,7 +70,6 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class Corpus:
-    seed: int
     entries: tuple[Field, ...]
     labels: tuple[str, ...]
 
@@ -124,11 +123,7 @@ def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
     entries.append(np.roll(entries[24], grid.n // 8))
     labels.append("shift_soliton_B1")
 
-    return Corpus(
-        seed=seed,
-        entries=tuple(Field(grid, e) for e in entries),
-        labels=tuple(labels),
-    )
+    return Corpus(tuple(Field(grid, e) for e in entries), tuple(labels))
 
 
 def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:

@@ -51,12 +51,12 @@ class TestCorpus:
     def test_rejects_mismatched_labels(self, grid_small):
         f = bv.zeros(grid_small)
         with pytest.raises(ValueError):
-            Corpus(seed=1, entries=(f,), labels=("a", "b"))
+            Corpus(entries=(f,), labels=("a", "b"))
 
     def test_rejects_duplicate_labels(self, grid_small):
         f = bv.zeros(grid_small)
         with pytest.raises(ValueError):
-            Corpus(seed=1, entries=(f, f), labels=("a", "a"))
+            Corpus(entries=(f, f), labels=("a", "a"))
 
 
 class TestCommutator:
@@ -178,7 +178,7 @@ class TestCalibration:
         assert a == b
 
     def test_all_zero_corpus_degenerates_to_zero(self, grid_small):
-        z = Corpus(seed=0, entries=(bv.zeros(grid_small),), labels=("z",))
+        z = Corpus(entries=(bv.zeros(grid_small),), labels=("z",))
         with pytest.warns(UserWarning):
             assert calibrate(z, "KM1", [1.0]) == 0.0
 
