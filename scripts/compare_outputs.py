@@ -15,7 +15,10 @@ temporary directory:
 
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. The script
-prints one line per file, then the line totals of `src/bovirial/*.py` in
+prints one line per file; under a differing CSV or `.dat` file it also
+prints, for each column whose cells differ, the largest absolute
+difference (the tolerance a reordering of floating-point operations is
+held to). It then prints the line totals of `src/bovirial/*.py` in
 both trees (the size the code should shrink by), and exits 1 on any
 output difference, 0 otherwise.
 Stdlib only; both trees together take about half a minute on two cores
@@ -83,6 +86,37 @@ def _same(a: str, b: str) -> bool:
         return fa.read() == fb.read()
 
 
+def _table(path: str) -> tuple[list[str], list[list[str]]]:
+    """(column names, rows of cells) of a CSV with a header line or of a
+    whitespace-separated `.dat` file, whose columns are named by position."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if path.endswith(".csv"):
+        return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split() for ln in lines]
+    return [f"column {i + 1}" for i in range(max(map(len, rows), default=0))], rows
+
+
+def _column_maxima(a: str, b: str) -> list[str]:
+    """'name max|diff|' for each column whose cells differ between two tables,
+    or one line saying why the tables cannot be lined up."""
+    (names, rows_a), (names_b, rows_b) = _table(a), _table(b)
+    if names != names_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return ["columns or rows differ in number"]
+    out = []
+    for j, name in enumerate(names):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        try:
+            worst = max(abs(float(x) - float(y)) for x, y in pairs)
+        except ValueError:  # a blank or non-numeric cell on one side only
+            out.append(f"{name} blank or non-numeric on one side")
+            continue
+        out.append(f"{name} {worst:.3g}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "src")):
         print("usage: python3 scripts/compare_outputs.py REF_TREE", file=sys.stderr)
@@ -103,6 +137,9 @@ def main(argv: list[str]) -> int:
                                                os.path.join(new_out, rel)) else "DIFFERS"
             differ += verdict != "identical"
             print(f"{verdict:>12}  {rel}")
+            if verdict == "DIFFERS" and rel.endswith((".csv", ".dat")):
+                for line in _column_maxima(os.path.join(ref_out, rel), os.path.join(new_out, rel)):
+                    print(f"{'':>14}max |diff|  {line}")
     print(f"{len(ref_files | new_files) - differ} identical, {differ} differing")
     print(f"src lines: {_src_lines(ref_tree)} in reference, {_src_lines(HERE)} in this tree")
     return 1 if differ else 0

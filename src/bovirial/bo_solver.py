@@ -182,9 +182,13 @@ def invariants(u: Field) -> tuple[float, float, float, float]:
     coefficient is +2/3 (see conserved_energy); this E is still constant
     on traveling waves, and both are tracked by the diagnostics.
     """
+    return _invariants(u, frac_deriv(u, 0.5))
+
+
+def _invariants(u: Field, dh: Field) -> tuple[float, float, float, float]:
+    """invariants(u) given dh = D^{1/2}u, for callers that already hold it."""
     g = u.grid
     s = u.samples
-    dh = frac_deriv(u, 0.5)
     i1 = float(g.spacing * np.sum(s))
     i2 = inner(u, u)
     e = inner(dh, dh) - float(g.spacing * np.sum(s * s * s)) / 3.0

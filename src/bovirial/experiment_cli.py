@@ -54,12 +54,13 @@ from .spectral_core import Field, Grid, _band_limited, _positive, make_grid
 from .virial_diagnostics import (
     DiagRecord,
     WeightSchedule,
+    budgets,
     diag_record,
-    energy_budget,
     integrated_decay,
     lambda_at,
-    mass_budget,
 )
+# unused here, but perfbench's tracer wraps them as this module's attributes
+from .virial_diagnostics import energy_budget, mass_budget  # noqa: F401
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config_text", "build_config", "main"]
 
@@ -241,15 +242,25 @@ _MASS_CELLS = ("a1", "a2", "a3", "a4", "residual")
 _ENERGY_CELLS = ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")
 
 
-def _cells(names, compute, *args) -> str | None:
-    """The named fields of compute(*args) as comma-separated CSV cells, or
+def _cells(compute, *args) -> str | None:
+    """The values compute(*args) returns as comma-separated CSV cells, or
     None when one is not finite or an operator result overflowed on the way."""
     try:
-        result = compute(*args)
+        values = compute(*args)
     except ValueError:
         return None
-    values = [getattr(result, name) for name in names]
     return ",".join(map(_fmt, values)) if all(map(math.isfinite, values)) else None
+
+
+def _record_values(u: Field, t: float, sched: WeightSchedule) -> list[float]:
+    record = diag_record(u, t, sched)
+    return [getattr(record, name) for name in _RECORD_CELLS]
+
+
+def _budget_values(*args) -> list[float]:
+    mass, energy = budgets(*args)
+    return [getattr(mass, name) for name in _MASS_CELLS] + \
+        [getattr(energy, name) for name in _ENERGY_CELLS]
 
 
 def _write_records(path: str, states, sched: WeightSchedule) -> int:
@@ -260,7 +271,7 @@ def _write_records(path: str, states, sched: WeightSchedule) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = []
         for st in states:
-            cells = _cells(_RECORD_CELLS, diag_record, st.u, st.t, sched)
+            cells = _cells(_record_values, st.u, st.t, sched)
             if cells is None:
                 break
             rows.append(cells)
@@ -272,12 +283,10 @@ def _write_records(path: str, states, sched: WeightSchedule) -> int:
                     prev, st, nxt = states[i - 1 : i + 2]
                     h_prev, h_next = st.t - prev.t, nxt.t - st.t
                     if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
-                        args = (prev.u, st.u, nxt.u, st.t, h_prev, sched)
-                        mass = _cells(_MASS_CELLS, mass_budget, *args)
-                        energy = _cells(_ENERGY_CELLS, energy_budget, *args)
-                        if mass is None or energy is None:
+                        terms = _cells(_budget_values, prev.u, st.u, nxt.u, st.t, h_prev, sched)
+                        if terms is None:
                             return i
-                        budget = f",{mass},{energy}"
+                        budget = "," + terms
                 fh.write(cells + budget + "\n")
     return len(rows)
 

@@ -126,18 +126,13 @@ def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
     return Corpus(tuple(Field(grid, e) for e in entries), tuple(labels))
 
 
-def commutator_half(phi_w: Field, u: Field, *, dealias: bool = True) -> Field:
-    """D^{1/2}( D^{1/2}(phi_w u) - phi_w D^{1/2}u ).
-
-    With dealias=True both products are truncated by the 2/3 rule before
-    transforming (the harness default). dealias=False keeps plain pointwise
-    products, which makes adjointness-based split identities exact.
-    """
+def commutator_half(phi_w: Field, u: Field) -> Field:
+    """D^{1/2}( D^{1/2}(phi_w u) - phi_w D^{1/2}u ), both products truncated
+    by the 2/3 rule before transforming."""
     g = _same_grid(phi_w, u)
 
     def product(a: np.ndarray, b: np.ndarray) -> Field:
-        p = Field(g, a * b)
-        return spectral_dealias(p) if dealias else p
+        return spectral_dealias(Field(g, a * b))
 
     du = frac_deriv(u, 0.5)
     bracket = frac_deriv(product(phi_w.samples, u.samples), 0.5).samples \

@@ -70,12 +70,17 @@ class Grid:
         coords = -0.5 * self.length + self.spacing * np.arange(n)
         object.__setattr__(self, "coords", _frozen(coords))
         # rfft half-spectrum symbols: H = -i sgn(xi) with sgn(0) = 0 and d/dx = i xi
-        # are odd, so they zero the unpaired Nyquist mode; the 2/3 rule keeps |k| <= n/3
+        # are odd, so they zero the unpaired Nyquist mode; the 2/3 rule keeps |k| <= n/3.
+        # The composites stand for a chain of round trips in one multiply: H d/dx,
+        # H d^2/dx^2, d/dx after the 2/3 rule, and |xi|^(1/2)
         k = np.arange(n // 2 + 1)
         xi_r = 2.0 * np.pi * k / self.length
         paired = k < n // 2
-        for name, arr in (("_xi_r", xi_r), ("_hilbert_sym", -1j * ((k > 0) & paired)),
-                          ("_deriv_sym", 1j * xi_r * paired), ("_dealias_sym", 1.0 * (k <= n // 3))):
+        hil, dx, keep = -1j * ((k > 0) & paired), 1j * xi_r * paired, 1.0 * (k <= n // 3)
+        for name, arr in (("_xi_r", xi_r), ("_hilbert_sym", hil), ("_deriv_sym", dx),
+                          ("_dealias_sym", keep), ("_hilbert_deriv_sym", hil * dx),
+                          ("_dispersion_sym", hil * dx * dx), ("_flux_sym", keep * dx),
+                          ("_half_sym", xi_r ** 0.5)):
             object.__setattr__(self, name, _frozen(arr))
 
     @property
@@ -128,9 +133,15 @@ def _band_limited(rng: np.random.Generator, grid: Grid, kmax: int) -> np.ndarray
     return np.fft.irfft(co, grid.n)
 
 
+def _inverse(grid: Grid, spectrum: np.ndarray, symbol: np.ndarray) -> Field:
+    """The Field whose rfft is spectrum * symbol: the return leg of a round trip,
+    so one forward transform can serve several symbols."""
+    return Field(grid, np.fft.irfft(spectrum * symbol, grid.n))
+
+
 def _multiply(f: Field, symbol: np.ndarray) -> Field:
     """One rfft -> multiply by a half-spectrum symbol -> irfft round trip."""
-    return Field(f.grid, np.fft.irfft(np.fft.rfft(f.samples) * symbol, f.grid.n))
+    return _inverse(f.grid, np.fft.rfft(f.samples), symbol)
 
 
 def hilbert(f: Field) -> Field:

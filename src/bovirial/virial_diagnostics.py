@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo_solver import invariants
-from .spectral_core import Field, Grid, _positive, _same_grid, deriv, frac_deriv, hilbert, inner
-from .spectral_core import dealias as spectral_dealias
+from .bo_solver import _invariants
+from .spectral_core import Field, Grid, _inverse, _positive, _same_grid, deriv, frac_deriv, hilbert, inner
+# unused here, but perfbench's tracer wraps it as this module's dealias
+from .spectral_core import dealias as spectral_dealias  # noqa: F401
 
 __all__ = [
     "WeightSchedule",
@@ -42,6 +43,7 @@ __all__ = [
     "eta_at",
     "local_energy",
     "diag_record",
+    "budgets",
     "mass_budget",
     "energy_budget",
     "integrated_decay",
@@ -167,17 +169,23 @@ class DiagRecord:
 
 def local_energy(u: Field, lam: float) -> float:
     """F = int phi'(x/lam) (u^2 + (D^{1/2}u)^2) dx, always >= 0."""
+    _positive(lam, "lam")
+    return _local_energy(u, frac_deriv(u, 0.5), lam)
+
+
+def _local_energy(u: Field, dh: Field, lam: float) -> float:
     g = u.grid
-    wp = phi_prime(g.coords / _positive(lam, "lam"))
-    dh = frac_deriv(u, 0.5)
+    wp = phi_prime(g.coords / lam)
     val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh.samples ** 2))
     return float(val)
 
 
 def diag_record(u: Field, t: float, s: WeightSchedule) -> DiagRecord:
+    """Invariants and local energy at t; D^{1/2}u is computed once for E and F."""
     lam = lambda_at(s, t)
-    i1, i2, e, l1 = invariants(u)
-    return DiagRecord(t=float(t), I1=i1, I2=i2, E=e, L1=l1, F=local_energy(u, lam), lam=lam)
+    dh = frac_deriv(u, 0.5)
+    i1, i2, e, l1 = _invariants(u, dh)
+    return DiagRecord(t=float(t), I1=i1, I2=i2, E=e, L1=l1, F=_local_energy(u, dh, lam), lam=lam)
 
 
 @dataclass(frozen=True)
@@ -236,80 +244,79 @@ def _budget_guard(u_prev: Field, u: Field, u_next: Field, dt: float) -> Grid:
 
 
 def _weighted_sum(grid: Grid, weight: np.ndarray, samples: np.ndarray) -> float:
-    return float(grid.spacing * np.sum(weight * samples))
+    return float(grid.spacing * (weight * samples).sum())
 
 
-def _window_terms(g: Grid, u_prev: Field, u: Field, u_next: Field, t: float,
-                  dt: float, s: WeightSchedule, density):
-    """The terms both budgets share for a density rho = density(samples):
-    the centered d/dt of w(tau) int phi(x/lambda(tau)) rho (weights at
-    their own times), w' int phi rho and w (lambda'/lambda) int (x/lambda)
-    phi' rho at t, followed by lambda, w, phi and phi' at t."""
+def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
+            s: WeightSchedule) -> tuple[MassBudget, EnergyBudget]:
+    """Both budgets from three consecutive snapshots at t-dt, t, t+dt.
 
-    def weighted(v: Field, tau: float) -> float:
-        return w_at(s, tau) * _weighted_sum(g, phi(g.coords / lambda_at(s, tau)),
-                                            density(v.samples))
-
-    ddt = (weighted(u_next, t + dt) - weighted(u_prev, t - dt)) / (2.0 * dt)
-    lam = lambda_at(s, t)
-    w = w_at(s, t)
+    The d/dt terms are centered differences of the full weighted integrals
+    (weights evaluated at their own times); every other term is evaluated
+    at t with analytic w' and lambda'. The windows are evaluated once for
+    both budgets, and the operators take one spectral pass (9 transforms):
+    one rfft of u gives u_x, H u_x, H u_xx and D^{1/2}u, one of u^2 the flux
+    and one of phi' u the commutator.
+    """
+    g = _budget_guard(u_prev, u, u_next, dt)
+    lam, w = lambda_at(s, t), w_at(s, t)
     z = g.coords / lam
-    win = phi(z)
-    winp = phi_prime(z)
-    rho = density(u.samples)
-    damping = w_prime_at(s, t) * _weighted_sum(g, win, rho)
-    dilation = w * (lambda_prime_at(s, t) / lam) * _weighted_sum(g, z * winp, rho)
-    return ddt, damping, dilation, lam, w, win, winp
+    win, winp = phi(z), phi_prime(z)
+    zwinp = z * winp
+    w_next, win_next = w_at(s, t + dt), phi(g.coords / lambda_at(s, t + dt))
+    w_prev, win_prev = w_at(s, t - dt), phi(g.coords / lambda_at(s, t - dt))
+    w_prime, w_rate = w_prime_at(s, t), w * (lambda_prime_at(s, t) / lam)
 
+    def window_terms(density):
+        """For rho = density(samples): the centered d/dt of w int phi rho,
+        w' int phi rho and w (lambda'/lambda) int (x/lambda) phi' rho."""
+        rho = density(u.samples)
+        ddt = (w_next * _weighted_sum(g, win_next, density(u_next.samples))
+               - w_prev * _weighted_sum(g, win_prev, density(u_prev.samples))) / (2.0 * dt)
+        return ddt, w_prime * _weighted_sum(g, win, rho), w_rate * _weighted_sum(g, zwinp, rho)
 
-def _flux_field(u: Field) -> Field:
+    spectrum = np.fft.rfft(u.samples)
+    ux, hux, disp, dh = (_inverse(g, spectrum, sym) for sym in (
+        g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym, g._half_sym))
     # same 2/3 truncation as the solver's nonlinearity, so a4 is exactly
     # the flux term the trajectory actually felt
-    return deriv(spectral_dealias(Field(u.grid, u.samples * u.samples)))
+    flux = _inverse(g, np.fft.rfft(Field(g, u.samples * u.samples).samples), g._flux_sym)
+    # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
+    # plain products: the split d32 = d321 + d322 is then an exact adjointness
+    # identity, not a band-limited approximation
+    half_wu = _inverse(g, np.fft.rfft(Field(g, winp * u.samples).samples), g._half_sym)
+    d322 = inner(dh, Field(g, half_wu.samples - winp * dh.samples))
+
+    ddt, a1, a2 = window_terms(lambda v: v)
+    a3 = w * _weighted_sum(g, win, disp.samples)
+    a4 = w * _weighted_sum(g, win, flux.samples)
+    mass = MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
+                      residual=ddt - a1 + a2 + a3 + a4)
+
+    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
+    # is exact in binary, so this matches weighting 1/2 u^2 directly
+    ddt, damping, dilation = window_terms(np.square)
+    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
+    d31 = _weighted_sum(g, win, hux.samples * ux.samples)
+    d32 = _weighted_sum(g, winp, hux.samples * u.samples)
+    d321 = _weighted_sum(g, winp, dh.samples ** 2)
+    b3 = -w * (d31 + d32 / lam)
+    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples ** 3)
+    energy = EnergyBudget(t=float(t), ddt_term=ddt, b1=b1, b2=b2, b3=b3, b4=b4, d31=d31,
+                          d32=d32, d321=d321, d322=d322, residual=ddt + b1 + b2 + b3 + b4)
+    return mass, energy
 
 
 def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
                 s: WeightSchedule) -> MassBudget:
-    """Budget from three consecutive snapshots at t-dt, t, t+dt.
-
-    The d/dt term is a centered difference of the full weighted integral
-    (weights evaluated at their own times); a1..a4 are evaluated at t with
-    analytic w' and lambda'.
-    """
-    g = _budget_guard(u_prev, u, u_next, dt)
-    ddt, a1, a2, _, w, win, _ = _window_terms(g, u_prev, u, u_next, t, dt, s,
-                                              lambda v: v)
-    disp = deriv(deriv(hilbert(u)))
-    a3 = w * _weighted_sum(g, win, disp.samples)
-    a4 = w * _weighted_sum(g, win, _flux_field(u).samples)
-    residual = ddt - a1 + a2 + a3 + a4
-    return MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
-                      residual=residual)
+    """The mass half of budgets(u_prev, u, u_next, t, dt, s)."""
+    return budgets(u_prev, u, u_next, t, dt, s)[0]
 
 
-def a3_by_parts(u: Field, t: float, s: WeightSchedule) -> float:
-    """a3 with the dispersive operator moved onto the sampled window.
-
-    (H d^2/dx^2) is antisymmetric under the discrete pairing, so this
-    equals mass_budget's a3 to rounding; it is the parts-integrated form
-    evaluated without leaving the discretization.
-    """
-    g = u.grid
-    win = window(g, lambda_at(s, t))
-    moved = deriv(deriv(hilbert(win)))
-    return -w_at(s, t) * inner(u, moved)
-
-
-def a3_closed_form(u: Field, t: float, s: WeightSchedule) -> float:
-    """a3 via the rational closed form of the window's dispersive image,
-    sampled directly. Differs from the spectral routes by the window's
-    periodization floor (~1e-3 at L=400); kept as a continuum diagnostic,
-    never used inside residuals."""
-    g = u.grid
-    lam = lambda_at(s, t)
-    z = g.coords / lam
-    image = (1.0 - z * z) / (1.0 + z * z) ** 2 / lam ** 2
-    return -w_at(s, t) * _weighted_sum(g, image, u.samples)
+def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
+                  s: WeightSchedule) -> EnergyBudget:
+    """The energy half of budgets(u_prev, u, u_next, t, dt, s)."""
+    return budgets(u_prev, u, u_next, t, dt, s)[1]
 
 
 def weighted_dispersive_flux(u: Field, lam: float) -> float:
@@ -319,35 +326,6 @@ def weighted_dispersive_flux(u: Field, lam: float) -> float:
     win = phi(g.coords / _positive(lam, "lam"))
     disp = deriv(deriv(hilbert(u)))
     return _weighted_sum(g, win, disp.samples * u.samples)
-
-
-def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
-                  s: WeightSchedule) -> EnergyBudget:
-    g = _budget_guard(u_prev, u, u_next, dt)
-    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
-    # is exact in binary, so this matches weighting 1/2 u^2 directly
-    ddt, damping, dilation, lam, w, win, winp = _window_terms(
-        g, u_prev, u, u_next, t, dt, s, np.square)
-    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
-
-    ux = deriv(u)
-    hux = hilbert(ux)
-    d31 = _weighted_sum(g, win, hux.samples * ux.samples)
-    d32 = _weighted_sum(g, winp, hux.samples * u.samples)
-
-    dh = frac_deriv(u, 0.5)
-    d321 = _weighted_sum(g, winp, dh.samples ** 2)
-    # commutator built with plain products: the split d32 = d321 + d322 is
-    # then an exact adjointness identity, not a band-limited approximation
-    from .inequality_harness import commutator_half
-
-    d322 = inner(u, commutator_half(Field(g, winp), u, dealias=False))
-
-    b3 = -w * (d31 + d32 / lam)
-    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples ** 3)
-    residual = ddt + b1 + b2 + b3 + b4
-    return EnergyBudget(t=float(t), ddt_term=ddt, b1=b1, b2=b2, b3=b3, b4=b4,
-                        d31=d31, d32=d32, d321=d321, d322=d322, residual=residual)
 
 
 def integrated_decay(records) -> tuple[float, list[tuple[float, float]]]:

@@ -77,9 +77,8 @@ class TestCommutator:
         u = corpus.entries[0]
         v = corpus.entries[1]
         uv = Field(grid_small, u.samples + v.samples)
-        lhs = commutator_half(w, uv, dealias=False)
-        rhs = commutator_half(w, u, dealias=False).samples + \
-            commutator_half(w, v, dealias=False).samples
+        lhs = commutator_half(w, uv)
+        rhs = commutator_half(w, u).samples + commutator_half(w, v).samples
         scale = max(1.0, float(np.max(np.abs(rhs))))
         assert np.max(np.abs(lhs.samples - rhs)) < 1e-10 * scale
 

@@ -1,6 +1,8 @@
 """Weight closed forms, windowed functionals, and budget closures."""
 
 import math
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 import bovirial as bv
 from bovirial.inequality_harness import check_km1
-from bovirial.spectral_core import Field
+from bovirial.spectral_core import Field, dealias, deriv, frac_deriv, hilbert
 from bovirial.virial_diagnostics import (
-    a3_by_parts,
-    a3_closed_form,
+    EnergyBudget,
+    MassBudget,
     d2x_hilbert_phi,
     phi,
     phi_prime,
@@ -21,6 +23,73 @@ from bovirial.virial_diagnostics import (
     window,
     window_prime,
 )
+
+
+def a3_by_parts(u, t, s):
+    """a3 with the dispersive operator moved onto the sampled window.
+
+    (H d^2/dx^2) is antisymmetric under the discrete pairing, so this
+    equals mass_budget's a3 to rounding; it is the parts-integrated form
+    evaluated without leaving the discretization.
+    """
+    g = u.grid
+    win = window(g, bv.lambda_at(s, t))
+    moved = deriv(deriv(hilbert(win)))
+    return -bv.w_at(s, t) * bv.inner(u, moved)
+
+
+def a3_closed_form(u, t, s):
+    """a3 via the rational closed form of the window's dispersive image,
+    sampled directly. Differs from the spectral routes by the window's
+    periodization floor (~1e-3 at L=400); a continuum reference only."""
+    g = u.grid
+    lam = bv.lambda_at(s, t)
+    z = g.coords / lam
+    image = (1.0 - z * z) / (1.0 + z * z) ** 2 / lam ** 2
+    return -bv.w_at(s, t) * float(g.spacing * np.sum(image * u.samples))
+
+
+def reference_budgets(u_prev, u, u_next, t, dt, s):
+    """Both budgets op by op: one round trip per operator, every window
+    evaluated where it is used, and the commutator D^{1/2}[D^{1/2}; phi'] u
+    built from frac_deriv with plain products and paired with u."""
+    g = u.grid
+    lam, w = bv.lambda_at(s, t), bv.w_at(s, t)
+    z = g.coords / lam
+    win, winp = phi(z), phi_prime(z)
+
+    def wsum(weight, samples):
+        return float(g.spacing * np.sum(weight * samples))
+
+    def window_terms(density):
+        def weighted(v, tau):
+            return bv.w_at(s, tau) * wsum(phi(g.coords / bv.lambda_at(s, tau)),
+                                          density(v.samples))
+        ddt = (weighted(u_next, t + dt) - weighted(u_prev, t - dt)) / (2.0 * dt)
+        rho = density(u.samples)
+        return (ddt, bv.w_prime_at(s, t) * wsum(phi(z), rho),
+                w * (bv.lambda_prime_at(s, t) / lam) * wsum(z * phi_prime(z), rho))
+
+    ddt, a1, a2 = window_terms(lambda v: v)
+    a3 = w * wsum(win, deriv(deriv(hilbert(u))).samples)
+    a4 = w * wsum(win, deriv(dealias(Field(g, u.samples * u.samples))).samples)
+    mass = MassBudget(float(t), ddt, a1, a2, a3, a4, ddt - a1 + a2 + a3 + a4)
+
+    ddt, damping, dilation = window_terms(np.square)
+    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
+    ux = deriv(u)
+    hux = hilbert(ux)
+    d31 = wsum(win, hux.samples * ux.samples)
+    d32 = wsum(winp, hux.samples * u.samples)
+    dh = frac_deriv(u, 0.5)
+    d321 = wsum(winp, dh.samples ** 2)
+    bracket = frac_deriv(Field(g, winp * u.samples), 0.5).samples - winp * dh.samples
+    d322 = bv.inner(u, frac_deriv(Field(g, bracket), 0.5))
+    b3 = -w * (d31 + d32 / lam)
+    b4 = -(2.0 / 3.0) * (w / lam) * wsum(winp, u.samples ** 3)
+    energy = EnergyBudget(float(t), ddt, b1, b2, b3, b4, d31, d32, d321, d322,
+                          ddt + b1 + b2 + b3 + b4)
+    return mass, energy
 
 
 class _Rec:
@@ -285,6 +354,67 @@ class TestEnergyBudget:
         h = st_[1].t - st_[0].t
         eb = bv.energy_budget(st_[0].u, st_[1].u, st_[2].u, st_[1].t, h, s)
         assert eb.residual == eb.ddt_term + eb.b1 + eb.b2 + eb.b3 + eb.b4
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of np.fft.rfft and np.fft.irfft calls from here on."""
+    count = Counter()
+    for name in ("rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            count[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+class TestOneSpectralPass:
+    """A record takes one spectral pass: diag_record shares D^{1/2}u between
+    E and F, and budgets shares one rfft of u among u_x, H u_x, H u_xx and
+    D^{1/2}u. The pass must reproduce the op-by-op budgets."""
+
+    def test_diag_record_takes_two_transforms(self, gaussian_small, transforms):
+        bv.diag_record(gaussian_small, 10.0, bv.WeightSchedule(a=0.25))
+        assert transforms == {"rfft": 1, "irfft": 1}
+
+    def test_budgets_take_nine_transforms(self, budget_states, transforms):
+        st_ = budget_states
+        bv.budgets(st_[0].u, st_[1].u, st_[2].u, st_[1].t, st_[1].t - st_[0].t,
+                   bv.WeightSchedule(a=0.25))
+        assert transforms == {"rfft": 3, "irfft": 6}
+
+    @pytest.mark.parametrize("mid", [1, 2, 3])
+    def test_budgets_match_op_by_op_reference(self, budget_states, mid):
+        st_ = budget_states
+        self.check_against_reference(st_[mid - 1].u, st_[mid].u, st_[mid + 1].u,
+                                     st_[mid].t, st_[mid].t - st_[mid - 1].t)
+
+    def test_rough_fields_match_op_by_op_reference(self, grid_small):
+        # white noise fills every mode, Nyquist and the top third included,
+        # where the smooth trajectory states carry nothing to compare
+        rng = np.random.default_rng(5)
+        self.check_against_reference(
+            *(Field(grid_small, rng.standard_normal(grid_small.n)) for _ in range(3)), 10.0, 0.01)
+
+    @staticmethod
+    def check_against_reference(u_prev, u, u_next, t, dt):
+        args = (u_prev, u, u_next, t, dt, bv.WeightSchedule(a=0.25))
+        got, want = bv.budgets(*args), reference_budgets(*args)
+        for g, r, terms in zip(got, want, (("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"))):
+            scale = max(abs(getattr(r, name)) for name in terms)
+            err = max(abs(a - b) for a, b in zip(astuple(g), astuple(r)))
+            assert err <= 1e-12 * scale, f"{type(r).__name__}: {err:.3e} against {scale:.3e}"
+        # the weighted sums keep their operation order, so these are bit-identical
+        mass, energy = got
+        assert (mass.ddt_term, mass.a1, mass.a2) == astuple(want[0])[1:4]
+        assert (energy.ddt_term, energy.b1, energy.b2, energy.b4, energy.d321) == (
+            want[1].ddt_term, want[1].b1, want[1].b2, want[1].b4, want[1].d321)
+
+    def test_single_budgets_are_the_halves(self, budget_states):
+        s = bv.WeightSchedule(a=0.25)
+        st_ = budget_states
+        args = (st_[0].u, st_[1].u, st_[2].u, st_[1].t, st_[1].t - st_[0].t, s)
+        assert (bv.mass_budget(*args), bv.energy_budget(*args)) == bv.budgets(*args)
 
 
 class TestIntegratedDecay:
