@@ -19,7 +19,8 @@ prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
 held to). It then prints the line totals of `src/bovirial/*.py` in
-both trees (the size the code should shrink by), and exits 1 on any
+both trees (the size the code should shrink by) and the length of each
+tree's `bovirial.__all__` (the public surface), and exits 1 on any
 output difference, 0 otherwise.
 Stdlib only; both trees together take about half a minute on two cores
 (most of it the `soliton_decay` run). A reference
@@ -44,8 +45,7 @@ TIMESTAMPS = ("started", "finished")
 
 def _produce(tree: str, out: str) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.pop("BOVIRIAL_OUT", None)
+    env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
     configs = [arg for cfg in STOCK
                for arg in ("--config", os.path.join(HERE, "scripts", cfg))]
@@ -58,6 +58,20 @@ def _produce(tree: str, out: str) -> None:
     with open(os.path.join(out, "soliton_test.txt"), "wb") as fh:
         subprocess.run(cli + ["soliton-test", "--c", "1", "--validate-family"],
                        env=env, cwd=out, check=True, stdout=fh)
+
+
+def _env(tree: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("BOVIRIAL_OUT", None)
+    return env
+
+
+def _export_count(tree: str) -> int:
+    """len(bovirial.__all__) of the package in `tree/src`, read in its own process."""
+    code = "import bovirial; print(len(bovirial.__all__))"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(tree), check=True,
+                         capture_output=True, text=True).stdout
+    return int(out)
 
 
 def _src_lines(tree: str) -> int:
@@ -142,6 +156,8 @@ def main(argv: list[str]) -> int:
                     print(f"{'':>14}max |diff|  {line}")
     print(f"{len(ref_files | new_files) - differ} identical, {differ} differing")
     print(f"src lines: {_src_lines(ref_tree)} in reference, {_src_lines(HERE)} in this tree")
+    print(f"bovirial.__all__ names: {_export_count(ref_tree)} in reference, "
+          f"{_export_count(HERE)} in this tree")
     return 1 if differ else 0
 
 

@@ -3,9 +3,9 @@
 The equation is u_t + (H u_x + u^2)_x = 0 with H the Hilbert transform of
 `spectral_core`. The linear part is purely dispersive with symbol
 -i xi |xi|; it is applied exactly through an integrating factor, so RK4
-only ever sees the quadratic flux. The flux is dealiased by the 2/3 rule
-(the same truncation the budget diagnostics use, so closure checks see
-exactly the solver's nonlinearity).
+only ever sees the quadratic flux. The flux is dealiased by the 2/3 rule;
+both symbols are the grid's own, and the budget diagnostics call the same
+`_flux`, so closure checks see exactly the solver's nonlinearity.
 
 Solitary waves: the profile A/(1 + B^2 (x - x0)^2) travels at speed s
 when H Q' + Q^2 = s Q. Under the sign conventions above that identity is
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, _positive, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _positive, frac_deriv, inner
 
 __all__ = [
     "BlowupError",
@@ -38,7 +38,6 @@ __all__ = [
     "soliton",
     "soliton_profile",
     "profile_residual",
-    "profile_residual_spectral",
     "l1_growth_fit",
 ]
 
@@ -104,23 +103,18 @@ class TrajectoryState:
 
 def _flux(w: np.ndarray, grid: Grid) -> np.ndarray:
     """Half spectrum of -d/dx(w^2): the square truncated by the 2/3 rule."""
-    fh = np.fft.rfft(w * w)
-    fh[grid.n // 3 + 1:] = 0.0
-    return -1j * grid._xi_r * fh
+    return np.fft.rfft(w * w) * grid._flux_sym
 
 
 class _Plan:
-    """Precomputed multiplier arrays for one (grid, dt) choice."""
+    """The exact linear propagators exp(-D dt/2) and exp(-D dt) of one
+    (grid, dt) choice, D the grid's dispersion symbol (i xi|xi| off Nyquist,
+    0 at Nyquist, where both propagators are therefore 1)."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        xi = grid._xi_r
-        # exact linear propagator exp(-i xi|xi| dt); on the half spectrum
-        # xi >= 0 so xi|xi| = xi^2. The discrete H annihilates the Nyquist
-        # mode, so the linear generator vanishes there: propagator 1.
-        self.e_half = np.exp(-1j * xi * xi * (0.5 * dt))
-        self.e_half[-1] = 1.0
+        self.e_half = np.exp(-grid._dispersion_sym * (0.5 * dt))
         self.e_full = self.e_half * self.e_half
 
     def flux(self, vh: np.ndarray) -> np.ndarray:
@@ -139,7 +133,7 @@ class _Plan:
 def bo_rhs(u: Field) -> Field:
     """Right-hand side -d/dx(H u_x + u^2) as a real field."""
     g = u.grid
-    out = -g._deriv_sym * g._xi_r * np.fft.rfft(u.samples)  # -i xi|xi| on xi >= 0
+    out = -g._dispersion_sym * np.fft.rfft(u.samples)
     return Field(g, np.fft.irfft(out + _flux(u.samples, g), g.n))
 
 
@@ -266,19 +260,11 @@ def profile_residual(p: SolitonParams, grid: Grid) -> float:
 
     H Q' is evaluated from the exact rational image of the profile
     derivative, so the result measures the parameter pairing itself and
-    not domain-truncation error; profile_residual_spectral applies the
-    discrete transform instead.
+    not domain-truncation error. The discrete transform in its place adds a
+    periodization floor (~1e-4 at n=4096, L=400).
     """
     q = soliton_profile(p, grid)
     return _relative_residual(q, _hilbert_deriv_closed_form(p, grid), p.speed)
-
-
-def profile_residual_spectral(p: SolitonParams, grid: Grid) -> float:
-    """Same residual with H Q' computed by the discrete multiplier; carries
-    an extra periodization floor (~1e-4 at n=4096, L=400) on top of the
-    parameter mismatch."""
-    q = soliton_profile(p, grid)
-    return _relative_residual(q, hilbert(deriv(q)).samples, p.speed)
 
 
 def l1_growth_fit(records) -> float:

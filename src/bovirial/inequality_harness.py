@@ -18,7 +18,6 @@ positive lhs is constrained), so its ratio is recorded signed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ from .spectral_core import (
     fourier_l1_deriv,
     frac_deriv,
     hilbert,
-    inner,
     l2_norm,
 )
 from .virial_diagnostics import phi, phi_prime, window_prime
@@ -214,22 +212,13 @@ def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport
 
 def calibrate(corpus: Corpus, tag: str, lams) -> float:
     """Supremum ratio over corpus x lams for one tag. Tests freeze 10x this
-    value as the regression constant."""
+    value as the regression constant. Every entry goes through run_check,
+    so its rules hold here as in check-lemmas: a zero field raises
+    ValueError under KM1, KM2 and KEY."""
     lams = [float(l) for l in lams]
     if not lams:
         raise ValueError("need at least one lambda value")
     if not corpus.entries:
         raise ValueError("empty corpus")
-    sup = None
-    for label, f in zip(corpus.labels, corpus.entries):
-        if inner(f, f) == 0.0:
-            warnings.warn(f"corpus entry {label!r} is identically zero; skipped")
-            continue
-        for lam in lams:
-            ratio = run_check(tag, f, lam, input_id=label).ratio
-            if sup is None or ratio > sup:
-                sup = ratio
-    if sup is None:
-        warnings.warn("corpus contained only zero entries; constant degenerate")
-        return 0.0
-    return float(sup)
+    return float(max(run_check(tag, f, lam, input_id=label).ratio
+                     for label, f in zip(corpus.labels, corpus.entries) for lam in lams))

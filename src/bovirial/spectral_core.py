@@ -25,7 +25,6 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "zeros",
     "hilbert",
     "frac_deriv",
     "deriv",
@@ -33,7 +32,6 @@ __all__ = [
     "inner",
     "l2_norm",
     "fourier_l1_deriv",
-    "reflect",
 ]
 
 
@@ -72,14 +70,19 @@ class Grid:
         # rfft half-spectrum symbols: H = -i sgn(xi) with sgn(0) = 0 and d/dx = i xi
         # are odd, so they zero the unpaired Nyquist mode; the 2/3 rule keeps |k| <= n/3.
         # The composites stand for a chain of round trips in one multiply: H d/dx,
-        # H d^2/dx^2, d/dx after the 2/3 rule, and |xi|^(1/2)
+        # H d^2/dx^2, -d/dx after the 2/3 rule, and |xi|^(1/2).
+        # The equation's two operators are written only here. -_dispersion_sym is the
+        # linear share of u_t: bo_rhs uses it, bo_solver._Plan exponentiates it into
+        # the exact propagator (1 at Nyquist, where the symbol is 0), and the budgets'
+        # a3 pairs phi with +_dispersion_sym. _flux_sym maps the spectrum of u^2 to
+        # the flux's share: bo_solver._flux applies it for the stepper, bo_rhs and a4
         k = np.arange(n // 2 + 1)
         xi_r = 2.0 * np.pi * k / self.length
         paired = k < n // 2
         hil, dx, keep = -1j * ((k > 0) & paired), 1j * xi_r * paired, 1.0 * (k <= n // 3)
         for name, arr in (("_xi_r", xi_r), ("_hilbert_sym", hil), ("_deriv_sym", dx),
                           ("_dealias_sym", keep), ("_hilbert_deriv_sym", hil * dx),
-                          ("_dispersion_sym", hil * dx * dx), ("_flux_sym", keep * dx),
+                          ("_dispersion_sym", hil * dx * dx), ("_flux_sym", -(keep * dx)),
                           ("_half_sym", xi_r ** 0.5)):
             object.__setattr__(self, name, _frozen(arr))
 
@@ -113,10 +116,6 @@ class Field:
         if not np.all(np.isfinite(s)):
             raise ValueError("field samples must be finite")
         object.__setattr__(self, "samples", _frozen(s))
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.n))
 
 
 def _same_grid(f: Field, g: Field) -> Grid:
@@ -195,10 +194,3 @@ def fourier_l1_deriv(w: Field) -> float:
     mag = g.spacing * np.abs(np.fft.rfft(deriv(w).samples))
     total = mag[0] + 2.0 * float(np.sum(mag[1:-1])) + mag[-1]
     return float(total * 2.0 * np.pi / g.length)
-
-
-def reflect(f: Field) -> Field:
-    """Spatial reflection x -> -x on the periodic grid (index 0 fixed)."""
-    g = f.grid
-    idx = (g.n - np.arange(g.n)) % g.n
-    return Field(g, f.samples[idx])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo_solver import _invariants
+from .bo_solver import _flux, _invariants
 from .spectral_core import Field, Grid, _inverse, _positive, _same_grid, deriv, frac_deriv, hilbert, inner
 # unused here, but perfbench's tracer wraps it as this module's dealias
 from .spectral_core import dealias as spectral_dealias  # noqa: F401
@@ -116,11 +116,6 @@ def eta_at(t: float) -> float:
     infinity, which is what makes the decay integral informative."""
     t = _check_t(t)
     return 1.0 / (t * math.log(t))
-
-
-def window(grid: Grid, lam: float) -> Field:
-    """Sampled phi(x/lam)."""
-    return Field(grid, phi(grid.coords / _positive(lam, "lam")))
 
 
 def window_prime(grid: Grid, lam: float) -> Field:
@@ -278,9 +273,9 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     spectrum = np.fft.rfft(u.samples)
     ux, hux, disp, dh = (_inverse(g, spectrum, sym) for sym in (
         g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym, g._half_sym))
-    # same 2/3 truncation as the solver's nonlinearity, so a4 is exactly
-    # the flux term the trajectory actually felt
-    flux = _inverse(g, np.fft.rfft(Field(g, u.samples * u.samples).samples), g._flux_sym)
+    # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
+    # the flux term the trajectory felt; a square that overflows fails here
+    flux = Field(g, np.fft.irfft(_flux(u.samples, g), g.n))
     # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
     # plain products: the split d32 = d321 + d322 is then an exact adjointness
     # identity, not a band-limited approximation
@@ -289,7 +284,7 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
 
     ddt, a1, a2 = window_terms(lambda v: v)
     a3 = w * _weighted_sum(g, win, disp.samples)
-    a4 = w * _weighted_sum(g, win, flux.samples)
+    a4 = -w * _weighted_sum(g, win, flux.samples)
     mass = MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
                       residual=ddt - a1 + a2 + a3 + a4)
 

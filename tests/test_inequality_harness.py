@@ -23,6 +23,10 @@ from bovirial.virial_diagnostics import window_prime
 from conftest import CORPUS_SEED, FROZEN_CONSTANTS
 
 
+def zeros(grid):
+    return Field(grid, np.zeros(grid.n))
+
+
 class TestCorpus:
     def test_size_and_unique_labels(self, corpus):
         assert len(corpus.entries) == 32
@@ -49,12 +53,12 @@ class TestCorpus:
                 assert bv.l2_norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_mismatched_labels(self, grid_small):
-        f = bv.zeros(grid_small)
+        f = zeros(grid_small)
         with pytest.raises(ValueError):
             Corpus(entries=(f,), labels=("a", "b"))
 
     def test_rejects_duplicate_labels(self, grid_small):
-        f = bv.zeros(grid_small)
+        f = zeros(grid_small)
         with pytest.raises(ValueError):
             Corpus(entries=(f, f), labels=("a", "a"))
 
@@ -62,7 +66,7 @@ class TestCorpus:
 class TestCommutator:
     def test_zero_field_gives_zero(self, grid_small):
         w = window_prime(grid_small, 1.0)
-        out = commutator_half(w, bv.zeros(grid_small))
+        out = commutator_half(w, zeros(grid_small))
         assert bv.l2_norm(out) == 0.0
 
     def test_constant_weight_commutes(self, grid_small):
@@ -93,12 +97,12 @@ class TestCommutator:
 
 class TestChecks:
     def test_zero_input_rejected(self, grid_small):
-        z = bv.zeros(grid_small)
+        z = zeros(grid_small)
         for fn in (check_km1, check_km2, check_key):
             with pytest.raises(ValueError):
                 fn(z, 1.0)
         with pytest.raises(ValueError):
-            check_comm(bv.zeros(grid_small), z)
+            check_comm(zeros(grid_small), z)
 
     def test_km1_lhs_keeps_the_signed_quadrature(self, grid_small, corpus):
         # the one-sided bound only constrains positive values, so the
@@ -133,7 +137,7 @@ class TestChecks:
         assert min(raws) < 0.0 < max(raws)
 
     def test_comm_degenerate_weight_reports_zero(self, grid_small, corpus):
-        w = bv.zeros(grid_small)
+        w = zeros(grid_small)
         u = corpus.entries[0]
         with pytest.raises(ValueError):
             check_comm(w, u)
@@ -176,10 +180,11 @@ class TestCalibration:
         b = calibrate(corpus, "KEY", DEFAULT_LAMBDAS)
         assert a == b
 
-    def test_all_zero_corpus_degenerates_to_zero(self, grid_small):
-        z = Corpus(entries=(bv.zeros(grid_small),), labels=("z",))
-        with pytest.warns(UserWarning):
-            assert calibrate(z, "KM1", [1.0]) == 0.0
+    def test_all_zero_corpus_rejected(self, grid_small):
+        # the same rule as check-lemmas: run_check refuses a zero input field
+        z = Corpus(entries=(zeros(grid_small),), labels=("z",))
+        with pytest.raises(ValueError, match="zero input field"):
+            calibrate(z, "KM1", [1.0])
 
     @pytest.mark.parametrize("tag", TAGS)
     def test_frozen_constants_hold(self, corpus, tag):

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bovirial as bv
+from bovirial.bo_solver import _Plan
 from bovirial.inequality_harness import check_km1
-from bovirial.spectral_core import Field, dealias, deriv, frac_deriv, hilbert
+from bovirial.spectral_core import Field, _positive, dealias, deriv, frac_deriv, hilbert
 from bovirial.virial_diagnostics import (
     EnergyBudget,
     MassBudget,
@@ -20,9 +21,13 @@ from bovirial.virial_diagnostics import (
     phi_prime,
     phi_pp,
     weighted_dispersive_flux,
-    window,
     window_prime,
 )
+
+
+def window(grid, lam):
+    """Sampled phi(x/lam), checked like the library's window_prime."""
+    return Field(grid, phi(grid.coords / _positive(lam, "lam")))
 
 
 def a3_by_parts(u, t, s):
@@ -254,7 +259,8 @@ class TestLocalEnergy:
             bv.local_energy(gaussian_small, 0.0)
 
 
-# the entry points whose window scale `spectral_core._positive` guards, as (field, lam) -> ...
+# the entry points whose window scale `spectral_core._positive` guards, as (field, lam) -> ...;
+# `window` is this module's own sampler, held to the same rule as window_prime
 WINDOW_SCALE_USERS = {
     "window": lambda u, lam: window(u.grid, lam),
     "window_prime": lambda u, lam: window_prime(u.grid, lam),
@@ -307,7 +313,7 @@ class TestMassBudget:
 
     def test_rejects_mismatched_grids(self, gaussian_small):
         g2 = bv.make_grid(512, 400.0)
-        other = bv.zeros(g2)
+        other = bv.Field(g2, np.zeros(g2.n))
         s = bv.WeightSchedule(a=0.0)
         with pytest.raises(ValueError):
             bv.mass_budget(gaussian_small, gaussian_small, other, 10.0, 0.01, s)
@@ -395,6 +401,18 @@ class TestOneSpectralPass:
         rng = np.random.default_rng(5)
         self.check_against_reference(
             *(Field(grid_small, rng.standard_normal(grid_small.n)) for _ in range(3)), 10.0, 0.01)
+
+    def test_solver_symbols_match_op_by_op_on_white_noise(self, grid_small):
+        # the grid's dispersion and flux symbols serve the budgets, bo_rhs and
+        # the propagator; white noise also fills the top third and Nyquist
+        u = Field(grid_small, np.random.default_rng(5).standard_normal(grid_small.n))
+        want = (-deriv(hilbert(deriv(u))).samples
+                - deriv(dealias(Field(grid_small, u.samples * u.samples))).samples)
+        err = np.max(np.abs(bv.bo_rhs(u).samples - want))
+        assert err <= 1e-12 * np.max(np.abs(want))
+        e_half = _Plan(grid_small, 0.1).e_half
+        assert e_half[-1] == 1.0
+        assert np.max(np.abs(np.abs(e_half) - 1.0)) <= 4 * np.finfo(float).eps
 
     @staticmethod
     def check_against_reference(u_prev, u, u_next, t, dt):
