@@ -48,7 +48,7 @@ from .inequality_harness import (
     TAGS,
     build_corpus,
     calibrate,
-    run_check,
+    lemma_table,
 )
 from .spectral_core import Field, Grid, _band_limited, _positive, make_grid
 from .virial_diagnostics import (
@@ -60,6 +60,7 @@ from .virial_diagnostics import (
     lambda_at,
 )
 # unused here, but perfbench's tracer wraps them as this module's attributes
+from .inequality_harness import run_check  # noqa: F401
 from .virial_diagnostics import energy_budget, mass_budget  # noqa: F401
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config_text", "build_config", "main"]
@@ -413,12 +414,36 @@ def _write_dat(path: str, pairs) -> None:
             fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def analyze_records(records_path: str, a: float, c_scale: float, out_dir: str) -> int:
-    diags, rows = parse_records(records_path)
+def _schedule(records_path: str, a: float | None, c_scale: float | None) -> WeightSchedule:
+    """The window schedule the lambda column is checked against. When
+    X.manifest.json sits beside X.csv, the run's config decides, and an
+    explicit --a or --c that contradicts it is a ConfigError. Otherwise the
+    flags decide, defaulting like the config keys."""
+    given = {"weight.a": ("--a", a), "weight.c_scale": ("--c", c_scale)}
+    values = {key: _KEYS[key][2] if value is None else value
+              for key, (_, value) in given.items()}
+    manifest = os.path.splitext(records_path)[0] + ".manifest.json"
+    if os.path.exists(manifest):
+        text = _read_text(manifest)
+        try:
+            config = json.loads(text)["config"]
+            values = {key: float(config.get(key, _KEYS[key][2])) for key in given}
+        except (ValueError, KeyError, TypeError, AttributeError):
+            raise ConfigError(f"{manifest}: no readable weight schedule in its config") from None
+        for key, (flag, value) in given.items():
+            if value is not None and value != values[key]:
+                raise ConfigError(f"{flag} {value:g} contradicts {key} = {values[key]:g} "
+                                  f"in {manifest}")
     try:
-        sched = WeightSchedule(a=a, c_scale=c_scale)
+        return WeightSchedule(a=values["weight.a"], c_scale=values["weight.c_scale"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def analyze_records(records_path: str, a: float | None, c_scale: float | None,
+                    out_dir: str) -> int:
+    diags, rows = parse_records(records_path)
+    sched = _schedule(records_path, a, c_scale)
 
     decay_part = [d for d in diags if d.t >= 10.0]
     if not decay_part or decay_part[-1].t < 16.0:
@@ -442,7 +467,7 @@ def analyze_records(records_path: str, a: float, c_scale: float, out_dir: str) -
     )
     if lam_mismatch > 1e-9:
         flags.append(
-            f"lambda column disagrees with schedule a={a:g}, c={c_scale:g} "
+            f"lambda column disagrees with schedule a={sched.a:g}, c={sched.c_scale:g} "
             f"(max rel {lam_mismatch:.3e})"
         )
 
@@ -467,7 +492,7 @@ def analyze_records(records_path: str, a: float, c_scale: float, out_dir: str) -
         "l1_exponent": exponent,
         "drift": {"I1_abs": i1_drift, "I2_rel": i2_drift, "E_rel": e_drift},
         "flags": flags,
-        "schedule": {"a": a, "c_scale": c_scale},
+        "schedule": {"a": sched.a, "c_scale": sched.c_scale},
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
 
@@ -494,26 +519,24 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
             _positive(lam, "lambda")
         with np.errstate(over="ignore", invalid="ignore"):
             corpus = build_corpus(make_grid(grid_n, grid_length), seed=seed)
-            reports = [run_check(tag, f, lam, input_id=label) for tag in TAGS
-                       for label, f in zip(corpus.labels, corpus.entries) for lam in lams]
+            reports = lemma_table(corpus, lams)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     os.makedirs(out_dir, exist_ok=True)
-    sups: dict[str, float] = {}
     with open(os.path.join(out_dir, "lemma_report.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("input_id,tag,lambda,lhs,rhs_unit,ratio\n")
         for rep in reports:
             fh.write(f"{rep.input_id},{rep.tag},{_fmt(rep.lam)},{_fmt(rep.lhs)},"
                      f"{_fmt(rep.rhs_unit)},{_fmt(rep.ratio)}\n")
-            if rep.tag not in sups or rep.ratio > sups[rep.tag]:
-                sups[rep.tag] = rep.ratio
+    # the table's supremum per tag, kept under both of the summary's names
+    sups = {tag: calibrate(reports, tag) for tag in TAGS}
     summary = {
         "seed": seed,
         "grid": {"n": grid_n, "length": grid_length},
         "lambdas": list(lams),
         "sup_ratio": sups,
-        "calibrate": {tag: calibrate(corpus, tag, lams) for tag in TAGS},
+        "calibrate": sups,
     }
     _write_json(os.path.join(out_dir, "lemma_summary.json"), summary)
     return 0
@@ -574,8 +597,10 @@ def main(argv=None) -> int:
 
     p_ana = sub.add_parser("analyze", help="post-process a records CSV")
     p_ana.add_argument("--records", required=True)
-    p_ana.add_argument("--a", type=float, default=0.0, help="weight exponent a")
-    p_ana.add_argument("--c", type=float, default=1.0, help="window scale factor c")
+    p_ana.add_argument("--a", type=float, default=None,
+                       help="weight exponent a (default: the run manifest's, else 0)")
+    p_ana.add_argument("--c", type=float, default=None,
+                       help="window scale factor c (default: the run manifest's, else 1)")
     p_ana.add_argument("--out", default=None)
 
     p_sol = sub.add_parser("soliton-test", help="traveling-wave residual report")

@@ -9,11 +9,18 @@ ratio:
   COMM ||D^{1/2}[D^{1/2}; phi_w] u||_2 vs  ||(phi_w')^||_1 ||u||_2
   KEY   int |u|^3 phi'(x/lam)          vs  (||u||_2 + ||D^{1/2}u||_2) int u^2 phi'
 
+Every formula is written once, as a private kernel, and lemma_table runs
+the kernels in three stages: once per entry (f_x, H f_x and D^{1/2}f from
+one rfft), once per window scale (phi, phi' and ||(phi')^'||_1), and once
+per pair (only COMM's commutator needs both). The single checks are the
+same kernels on one entry and one scale. A zero input field raises
+ValueError under every check.
+
 The inequalities assert existence of constants, never their values, so the
 strongest desk-scale statement is regression: calibrate() takes the sup
-ratio over corpus x lambda grid, tests freeze 10x that value, and any
-future violation is a real behavior change. KM1 is one-sided (only
-positive lhs is constrained), so its ratio is recorded signed.
+ratio of a table over corpus x lambda grid, tests freeze 10x that value,
+and any future violation is a real behavior change. KM1 is one-sided
+(only positive lhs is constrained), so its ratio is recorded signed.
 """
 
 from __future__ import annotations
@@ -26,16 +33,17 @@ from .spectral_core import (
     Field,
     Grid,
     _band_limited,
-    _positive,
+    _inverse,
     _same_grid,
-    dealias as spectral_dealias,
-    deriv,
     fourier_l1_deriv,
     frac_deriv,
-    hilbert,
     l2_norm,
 )
-from .virial_diagnostics import phi, phi_prime, window_prime
+from .virial_diagnostics import phi, window_prime
+
+# unused here, but perfbench's tracer wraps them as this module's attributes
+from .spectral_core import dealias as spectral_dealias, deriv, hilbert  # noqa: F401
+from .virial_diagnostics import phi_prime  # noqa: F401
 
 __all__ = [
     "LemmaReport",
@@ -47,6 +55,7 @@ __all__ = [
     "check_comm",
     "check_key",
     "run_check",
+    "lemma_table",
     "calibrate",
 ]
 
@@ -124,48 +133,109 @@ def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
     return Corpus(tuple(Field(grid, e) for e in entries), tuple(labels))
 
 
+@dataclass(frozen=True)
+class _Entry:
+    """The per-entry stage: f and its legs f_x, H f_x and D^{1/2}f, all three
+    from one rfft of f."""
+
+    f: Field
+    fx: Field
+    hfx: Field
+    half: Field
+
+
+def _entry(f: Field) -> _Entry:
+    g = f.grid
+    spectrum = np.fft.rfft(f.samples)
+    return _Entry(f, *(_inverse(g, spectrum, sym)
+                       for sym in (g._deriv_sym, g._hilbert_deriv_sym, g._half_sym)))
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The per-lambda stage: phi(x/lam), the weight phi'(x/lam) and COMM's
+    ||(phi')^'||_1 (one rfft)."""
+
+    lam: float
+    phi: np.ndarray
+    wp: Field
+    wp_l1: float
+
+
+def _window(grid: Grid, lam: float) -> _Window:
+    wp = window_prime(grid, lam)
+    return _Window(float(lam), phi(grid.coords / lam), wp, fourier_l1_deriv(wp))
+
+
+def _quad(e: _Entry, w: _Window) -> float:
+    """(1/lam) int f^2 phi'(x/lam): the right side KM1 and KM2 share and KEY
+    scales. Zero means a zero input field, which no check accepts."""
+    g = _same_grid(e.f, w.wp)
+    quad = float(g.spacing * np.sum(w.wp.samples * e.f.samples ** 2)) / w.lam
+    if quad == 0.0:
+        raise ValueError("zero input field")
+    return quad
+
+
+def _commutator(phi_w: Field, u: Field, du: Field) -> Field:
+    """D^{1/2}(D^{1/2}(phi_w u) - phi_w du) for du = D^{1/2}u, both products
+    truncated by the 2/3 rule, as one composite: two rfft and one irfft."""
+    g = _same_grid(phi_w, u)
+    a = np.fft.rfft(phi_w.samples * u.samples)
+    b = np.fft.rfft(phi_w.samples * du.samples)
+    half, keep = g._half_sym, g._dealias_sym
+    return Field(g, np.fft.irfft(half * (half * keep * a - keep * b), g.n))
+
+
+def _km1(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * e.hfx.samples * e.f.samples))
+    return LemmaReport("KM1", w.lam, lhs, quad, lhs / quad, input_id)
+
+
+def _km2(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    lhs = abs(float(e.f.grid.spacing * np.sum(w.phi * e.hfx.samples * e.fx.samples)))
+    return LemmaReport("KM2", w.lam, lhs, quad, lhs / quad, input_id)
+
+
+def _comm(e: _Entry, wp: Field, wp_l1: float, lam: float, input_id: str) -> LemmaReport:
+    if not np.any(wp.samples):
+        raise ValueError("zero weight")
+    norm = l2_norm(e.f)
+    if norm == 0.0:
+        raise ValueError("zero input field")
+    lhs = l2_norm(_commutator(wp, e.f, e.half))
+    rhs_unit = wp_l1 * norm
+    return LemmaReport("COMM", lam, lhs, rhs_unit, lhs / rhs_unit if rhs_unit > 0.0 else 0.0,
+                       input_id)
+
+
+def _key(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    rhs_unit = (l2_norm(e.f) + l2_norm(e.half)) * quad * w.lam  # undo the 1/lam
+    a = np.abs(e.f.samples)
+    lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * (a * a * a)))
+    return LemmaReport("KEY", w.lam, lhs, rhs_unit, lhs / rhs_unit, input_id)
+
+
+def _single(kernel, f: Field, lam: float, input_id: str) -> LemmaReport:
+    e, w = _entry(f), _window(f.grid, lam)
+    return kernel(e, w, _quad(e, w), input_id)
+
+
 def commutator_half(phi_w: Field, u: Field) -> Field:
     """D^{1/2}( D^{1/2}(phi_w u) - phi_w D^{1/2}u ), both products truncated
     by the 2/3 rule before transforming."""
-    g = _same_grid(phi_w, u)
-
-    def product(a: np.ndarray, b: np.ndarray) -> Field:
-        return spectral_dealias(Field(g, a * b))
-
-    du = frac_deriv(u, 0.5)
-    bracket = frac_deriv(product(phi_w.samples, u.samples), 0.5).samples \
-        - product(phi_w.samples, du.samples).samples
-    return frac_deriv(Field(g, bracket), 0.5)
-
-
-def _weight_integrals(f: Field, lam: float) -> tuple[np.ndarray, float]:
-    g = f.grid
-    wp = phi_prime(g.coords / _positive(lam, "lam"))
-    rhs_unit = float(g.spacing * np.sum(wp * f.samples ** 2)) / lam
-    if rhs_unit == 0.0:
-        raise ValueError("zero input field")
-    return wp, rhs_unit
+    return _commutator(phi_w, u, frac_deriv(u, 0.5))
 
 
 def check_km1(f: Field, lam: float, input_id: str = "") -> LemmaReport:
     """Signed ratio of int (H f_x) f phi'(x/lam) against (1/lam) int f^2 phi'.
     One-sided: the bound constrains positive lhs only."""
-    g = f.grid
-    wp, rhs_unit = _weight_integrals(f, lam)
-    hfx = hilbert(deriv(f))
-    lhs = float(g.spacing * np.sum(wp * hfx.samples * f.samples))
-    return LemmaReport("KM1", float(lam), lhs, rhs_unit, lhs / rhs_unit, input_id)
+    return _single(_km1, f, lam, input_id)
 
 
 def check_km2(f: Field, lam: float, input_id: str = "") -> LemmaReport:
     """|int (H f_x) f_x phi(x/lam)| against (1/lam) int f^2 phi'(x/lam)."""
-    g = f.grid
-    _, rhs_unit = _weight_integrals(f, lam)
-    win = phi(g.coords / lam)
-    fx = deriv(f)
-    hfx = hilbert(fx)
-    lhs = abs(float(g.spacing * np.sum(win * hfx.samples * fx.samples)))
-    return LemmaReport("KM2", float(lam), lhs, rhs_unit, lhs / rhs_unit, input_id)
+    return _single(_km2, f, lam, input_id)
 
 
 def check_comm(phi_w: Field, u: Field, lam: float = float("nan"),
@@ -173,15 +243,12 @@ def check_comm(phi_w: Field, u: Field, lam: float = float("nan"),
     """||D^{1/2}[D^{1/2}; phi_w]u||_2 against ||(phi_w')^||_1 ||u||_2.
 
     `lam` is only bookkeeping for the report row (the weight is passed
-    sampled). A constant weight commutes exactly, leaving rhs_unit = 0 and
-    lhs at rounding level; that degenerate case reports ratio 0.
+    sampled). A zero u raises "zero input field", as under the other
+    checks, and a zero weight raises too. A constant weight commutes
+    exactly, leaving rhs_unit = 0 and lhs at rounding level; that
+    degenerate case reports ratio 0.
     """
-    if not np.any(phi_w.samples):
-        raise ValueError("zero weight")
-    lhs = l2_norm(commutator_half(phi_w, u))
-    rhs_unit = fourier_l1_deriv(phi_w) * l2_norm(u)
-    ratio = lhs / rhs_unit if rhs_unit > 0.0 else 0.0
-    return LemmaReport("COMM", float(lam), lhs, rhs_unit, ratio, input_id)
+    return _comm(_entry(u), phi_w, fourier_l1_deriv(phi_w), float(lam), input_id)
 
 
 def check_key(u: Field, lam: float, input_id: str = "") -> LemmaReport:
@@ -190,11 +257,7 @@ def check_key(u: Field, lam: float, input_id: str = "") -> LemmaReport:
     The norm factor mirrors the inequality's constant, which depends on the
     data's L2 and H^{1/2} sizes; with it the ratio is exactly
     scale-invariant."""
-    g = u.grid
-    wp, rhs_quad = _weight_integrals(u, lam)
-    rhs_unit = (l2_norm(u) + l2_norm(frac_deriv(u, 0.5))) * rhs_quad * lam  # undo the 1/lam
-    lhs = float(g.spacing * np.sum(wp * np.abs(u.samples) ** 3))
-    return LemmaReport("KEY", float(lam), lhs, rhs_unit, lhs / rhs_unit, input_id)
+    return _single(_key, u, lam, input_id)
 
 
 def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport:
@@ -210,15 +273,30 @@ def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport
     raise ValueError(f"unknown check tag {tag!r}")
 
 
-def calibrate(corpus: Corpus, tag: str, lams) -> float:
-    """Supremum ratio over corpus x lams for one tag. Tests freeze 10x this
-    value as the regression constant. Every entry goes through run_check,
-    so its rules hold here as in check-lemmas: a zero field raises
-    ValueError under KM1, KM2 and KEY."""
-    lams = [float(l) for l in lams]
-    if not lams:
-        raise ValueError("need at least one lambda value")
-    if not corpus.entries:
-        raise ValueError("empty corpus")
-    return float(max(run_check(tag, f, lam, input_id=label).ratio
-                     for label, f in zip(corpus.labels, corpus.entries) for lam in lams))
+def lemma_table(corpus: Corpus, lams) -> tuple[LemmaReport, ...]:
+    """Every check on every corpus entry at every window scale, ordered by
+    tag, then entry, then lambda: the rows check-lemmas writes, equal to
+    run_check's. Each scale's window is built once, before the entry loop
+    (1 rfft), and each entry's legs once (1 rfft, 3 irfft); a pair then
+    costs only COMM's commutator (2 rfft, 1 irfft)."""
+    windows = [_window(corpus.entries[0].grid, lam) for lam in lams] if corpus.entries else []
+    rows: dict[str, list[LemmaReport]] = {tag: [] for tag in TAGS}
+    for label, f in zip(corpus.labels, corpus.entries):
+        e = _entry(f)
+        for w in windows:
+            quad = _quad(e, w)
+            rows["KM1"].append(_km1(e, w, quad, label))
+            rows["KM2"].append(_km2(e, w, quad, label))
+            rows["COMM"].append(_comm(e, w.wp, w.wp_l1, w.lam, label))
+            rows["KEY"].append(_key(e, w, quad, label))
+    return tuple(rep for tag in TAGS for rep in rows[tag])
+
+
+def calibrate(reports, tag: str) -> float:
+    """Supremum ratio of one tag's rows in a table the caller already holds,
+    such as lemma_table(corpus, lams). Tests freeze 10x this value as the
+    regression constant."""
+    ratios = [rep.ratio for rep in reports if rep.tag == tag]
+    if not ratios:
+        raise ValueError(f"no {tag} rows to calibrate")
+    return float(max(ratios))

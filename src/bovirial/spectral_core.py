@@ -188,9 +188,10 @@ def fourier_l1_deriv(w: Field) -> float:
     Coefficients are continuum-normalized (spacing * rfft), negative-k
     partners counted by doubling the interior of the half spectrum. For a
     window w(x/lam) this scales like 1/lam and bounds the commutator size
-    measured by the inequality harness; constants give exactly 0.
+    measured by the inequality harness; constants give exactly 0. One
+    rfft: the derivative's spectrum is w's times the d/dx symbol.
     """
     g = w.grid
-    mag = g.spacing * np.abs(np.fft.rfft(deriv(w).samples))
+    mag = g.spacing * np.abs(np.fft.rfft(w.samples) * g._deriv_sym)
     total = mag[0] + 2.0 * float(np.sum(mag[1:-1])) + mag[-1]
     return float(total * 2.0 * np.pi / g.length)

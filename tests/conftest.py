@@ -8,6 +8,8 @@ constants exist, and the suite asserts the measured ratios never cross
 these particular values.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -64,3 +66,15 @@ def budget_states(gaussian_small):
     residual, the endpoints with the center give the 2h residual."""
     cfg = bv.SolverConfig(dt=1e-3, t0=10.0, t_end=10.04, record_every=10)
     return bv.run_trajectory(gaussian_small, cfg)
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Counts of np.fft.rfft and np.fft.irfft calls from here on."""
+    count = Counter()
+    for name in ("rfft", "irfft"):
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            count[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count

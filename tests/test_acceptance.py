@@ -25,6 +25,7 @@ from bovirial.inequality_harness import (
     calibrate,
     check_comm,
     check_key,
+    lemma_table,
     run_check,
 )
 from bovirial.spectral_core import Field
@@ -249,8 +250,8 @@ def test_criterion_6_no_frozen_constant_violations(frozen_corpus):
 
 
 def test_criterion_6_km1_supremum_uniform_in_window_scale(frozen_corpus):
-    lo = calibrate(frozen_corpus, "KM1", [1.0])
-    hi = calibrate(frozen_corpus, "KM1", [100.0])
+    lo = calibrate(lemma_table(frozen_corpus, [1.0]), "KM1")
+    hi = calibrate(lemma_table(frozen_corpus, [100.0]), "KM1")
     assert hi <= 1.1 * lo, (
         f"KM1 sup ratio grows from {lo:.3f} at lam=1 to {hi:.2f} at "
         f"lam=100 (x{hi / lo:.1f}): on band-limited data the weighted "
@@ -265,8 +266,8 @@ def test_criterion_6_km1_supremum_uniform_in_window_scale(frozen_corpus):
 
 
 def test_criterion_6_km2_supremum_uniform_in_window_scale(frozen_corpus):
-    lo = calibrate(frozen_corpus, "KM2", [1.0])
-    hi = calibrate(frozen_corpus, "KM2", [100.0])
+    lo = calibrate(lemma_table(frozen_corpus, [1.0]), "KM2")
+    hi = calibrate(lemma_table(frozen_corpus, [100.0]), "KM2")
     assert hi <= 1.1 * lo
 
 

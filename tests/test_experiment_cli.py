@@ -438,6 +438,36 @@ class TestAnalyze:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert any("lambda" in f for f in summary["flags"])
 
+    def test_schedule_comes_from_the_run_manifest(self, tmp_path, capsys):
+        # gaussian_budget runs with a = 0.25; read against the flags' default
+        # a = 0 its lambda column used to raise a false mismatch flag
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", str(SCRIPTS / "gaussian_budget.cfg"),
+                     "--out", str(run_out)]) == 0
+        records = str(run_out / "gaussian_budget.csv")
+
+        def analyze(*flags):
+            out = tmp_path / f"ana{len(flags)}"
+            code = main(["analyze", "--records", records, *flags, "--out", str(out)])
+            return code, (json.loads((out / "summary.json").read_text()) if code == 0 else None)
+
+        code, summary = analyze()
+        assert code == 0
+        assert summary["schedule"] == {"a": 0.25, "c_scale": 1.0}
+        assert not any("lambda" in f for f in summary["flags"])
+        assert analyze("--a", "0.25", "--c", "1")[0] == 0
+        assert analyze("--a", "0.0")[0] == 2
+        assert "--a 0 contradicts weight.a = 0.25" in capsys.readouterr().err
+        manifest = run_out / "gaussian_budget.manifest.json"
+        manifest.write_text("{}")
+        assert analyze()[0] == 2
+        assert "no readable weight schedule" in capsys.readouterr().err
+        # without the manifest the flags decide, as before
+        manifest.unlink()
+        code, summary = analyze()
+        assert code == 0
+        assert any("lambda column disagrees" in f and "1.360e+00" in f for f in summary["flags"])
+
     def test_short_horizon_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
         run_out = str(tmp_path / "run")

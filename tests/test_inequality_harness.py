@@ -15,6 +15,7 @@ from bovirial.inequality_harness import (
     check_km1,
     check_km2,
     commutator_half,
+    lemma_table,
     run_check,
 )
 from bovirial.spectral_core import Field
@@ -173,30 +174,30 @@ class TestChecks:
 class TestCalibration:
     def test_rejects_empty_scales(self, corpus):
         with pytest.raises(ValueError):
-            calibrate(corpus, "KM2", [])
+            calibrate(lemma_table(corpus, []), "KM2")
 
     def test_deterministic(self, corpus):
-        a = calibrate(corpus, "KEY", DEFAULT_LAMBDAS)
-        b = calibrate(corpus, "KEY", DEFAULT_LAMBDAS)
+        a = calibrate(lemma_table(corpus, DEFAULT_LAMBDAS), "KEY")
+        b = calibrate(lemma_table(corpus, DEFAULT_LAMBDAS), "KEY")
         assert a == b
 
     def test_all_zero_corpus_rejected(self, grid_small):
         # the same rule as check-lemmas: run_check refuses a zero input field
         z = Corpus(entries=(zeros(grid_small),), labels=("z",))
         with pytest.raises(ValueError, match="zero input field"):
-            calibrate(z, "KM1", [1.0])
+            calibrate(lemma_table(z, [1.0]), "KM1")
 
     @pytest.mark.parametrize("tag", TAGS)
     def test_frozen_constants_hold(self, corpus, tag):
-        sup = calibrate(corpus, tag, DEFAULT_LAMBDAS)
+        sup = calibrate(lemma_table(corpus, DEFAULT_LAMBDAS), tag)
         assert sup <= FROZEN_CONSTANTS[tag]
 
     @pytest.mark.parametrize("tag", ["KM2", "COMM", "KEY"])
     def test_scale_subset_stability(self, corpus, tag):
         # the supremum is insensitive to enlarging the sweep for the
         # checks whose ratios do not trend with the window scale
-        small = calibrate(corpus, tag, [1.0, 10.0])
-        large = calibrate(corpus, tag, [1.0, 10.0, 100.0])
+        small = calibrate(lemma_table(corpus, [1.0, 10.0]), tag)
+        large = calibrate(lemma_table(corpus, [1.0, 10.0, 100.0]), tag)
         assert large <= small * 1.05
 
     def test_km1_supremum_tracks_window_scale(self, corpus):
@@ -204,8 +205,8 @@ class TestCalibration:
         # linearly in the window scale (the weighted pairing tends to
         # ||D^(1/2) f||^2 while the unit right side shrinks like 1/lam),
         # so the sweep supremum is set by the largest lambda
-        lo = calibrate(corpus, "KM1", [1.0])
-        hi = calibrate(corpus, "KM1", [100.0])
+        lo = calibrate(lemma_table(corpus, [1.0]), "KM1")
+        hi = calibrate(lemma_table(corpus, [100.0]), "KM1")
         assert hi > 50.0 * lo
 
     def test_every_ratio_below_frozen_constant(self, corpus):
@@ -216,3 +217,83 @@ class TestCalibration:
                     assert rep.ratio <= FROZEN_CONSTANTS[tag], (
                         f"{tag} on {label} at lam={lam}"
                     )
+
+
+def reference_check(tag, f, lam):
+    """(lhs, rhs_unit) of one check with every operator its own round trip:
+    the op-by-op formulas the one-pass table must reproduce."""
+    from bovirial.virial_diagnostics import phi, phi_prime
+
+    g = f.grid
+    wp = phi_prime(g.coords / lam)
+    quad = g.spacing * float(np.sum(wp * f.samples ** 2)) / lam
+    if tag == "KM1":
+        return g.spacing * float(np.sum(wp * bv.hilbert(bv.deriv(f)).samples * f.samples)), quad
+    if tag == "KM2":
+        fx = bv.deriv(f)
+        hfx = bv.hilbert(fx).samples
+        return abs(g.spacing * float(np.sum(phi(g.coords / lam) * hfx * fx.samples))), quad
+    if tag == "COMM":
+        def product(a, b):
+            return bv.dealias(Field(g, a * b))
+
+        du = bv.frac_deriv(f, 0.5)
+        bracket = (bv.frac_deriv(product(wp, f.samples), 0.5).samples
+                   - product(wp, du.samples).samples)
+        lhs = bv.l2_norm(bv.frac_deriv(Field(g, bracket), 0.5))
+        mag = g.spacing * np.abs(np.fft.rfft(bv.deriv(Field(g, wp)).samples))
+        l1 = (mag[0] + 2.0 * float(np.sum(mag[1:-1])) + mag[-1]) * 2.0 * np.pi / g.length
+        return lhs, l1 * bv.l2_norm(f)
+    half = bv.l2_norm(bv.frac_deriv(f, 0.5))
+    return (g.spacing * float(np.sum(wp * np.abs(f.samples) ** 3)),
+            (bv.l2_norm(f) + half) * quad * lam)
+
+
+class TestOneSpectralPass:
+    """lemma_table builds each entry's legs once (one rfft, then f_x, H f_x
+    and D^{1/2}f), each window scale's phi, phi' and ||(phi')^'||_1 once,
+    and per pair only COMM's commutator. It must reproduce the op-by-op
+    checks, row for row and in the order tag, entry, lambda."""
+
+    @pytest.mark.parametrize("entries, lams", [(1, 1), (3, 1), (1, 4), (3, 4)])
+    def test_transforms_per_entry_per_scale_per_pair(self, corpus, transforms, entries, lams):
+        sub = Corpus(corpus.entries[:entries], corpus.labels[:entries])
+        lemma_table(sub, DEFAULT_LAMBDAS[:lams])
+        pairs = entries * lams
+        assert transforms == {"rfft": entries + lams + 2 * pairs, "irfft": 3 * entries + pairs}
+
+    def test_window_l1_takes_one_transform(self, grid_small, transforms):
+        bv.fourier_l1_deriv(window_prime(grid_small, 5.0))
+        assert transforms == {"rfft": 1}
+
+    def test_rows_come_in_tag_entry_lambda_order(self, corpus):
+        lams = DEFAULT_LAMBDAS
+        assert [(r.tag, r.input_id, r.lam) for r in lemma_table(corpus, lams)] == [
+            (tag, label, lam) for tag in TAGS for label in corpus.labels for lam in lams]
+
+    def test_rows_match_single_checks_and_op_by_op_reference(self, grid_small, corpus):
+        # white noise fills every mode, Nyquist and the top third included,
+        # where the smooth corpus entries carry almost nothing to compare
+        noise = Field(grid_small, np.random.default_rng(5).standard_normal(grid_small.n))
+        table = Corpus(corpus.entries + (noise,), corpus.labels + ("noise",))
+        entries = dict(zip(table.labels, table.entries))
+        for rep in lemma_table(table, DEFAULT_LAMBDAS):
+            f = entries[rep.input_id]
+            # the single checks are the table's kernels on one entry and one scale
+            assert rep == run_check(rep.tag, f, rep.lam, input_id=rep.input_id)
+            lhs, rhs_unit = reference_check(rep.tag, f, rep.lam)
+            assert abs(rep.lhs - lhs) <= 1e-12 * rep.rhs_unit, (rep, lhs)
+            assert abs(rep.rhs_unit - rhs_unit) <= 1e-12 * rep.rhs_unit, (rep, rhs_unit)
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_zero_entry_raises_under_every_tag(self, grid_small, tag):
+        z = Corpus(entries=(zeros(grid_small),), labels=("z",))
+        with pytest.raises(ValueError, match="zero input field"):
+            run_check(tag, z.entries[0], 1.0)
+        with pytest.raises(ValueError, match="zero input field"):
+            lemma_table(z, [1.0])
+
+    def test_calibrate_is_the_table_supremum(self, corpus):
+        rows = lemma_table(corpus, DEFAULT_LAMBDAS)
+        for tag in TAGS:
+            assert calibrate(rows, tag) == max(r.ratio for r in rows if r.tag == tag)

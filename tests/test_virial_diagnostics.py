@@ -1,7 +1,6 @@
 """Weight closed forms, windowed functionals, and budget closures."""
 
 import math
-from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -360,18 +359,6 @@ class TestEnergyBudget:
         h = st_[1].t - st_[0].t
         eb = bv.energy_budget(st_[0].u, st_[1].u, st_[2].u, st_[1].t, h, s)
         assert eb.residual == eb.ddt_term + eb.b1 + eb.b2 + eb.b3 + eb.b4
-
-
-@pytest.fixture
-def transforms(monkeypatch):
-    """Counts of np.fft.rfft and np.fft.irfft calls from here on."""
-    count = Counter()
-    for name in ("rfft", "irfft"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            count[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return count
 
 
 class TestOneSpectralPass:
