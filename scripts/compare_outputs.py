@@ -7,14 +7,18 @@ Both `REF_TREE/src` and `./src` run the same commands, each into its own
 temporary directory:
 
   * `run` on the three stock configs in `scripts/` (taken from this tree,
-    so only the program differs);
+    so only the program differs), once serially into `run/` and once with
+    `--jobs 2` into `run_jobs2/`: a serial run streams its records to a
+    second process for the budgets, a pool worker writes them itself;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
     `soliton_test.txt`.
 
 Every output file is then compared byte for byte. Manifests are compared
-as JSON without their `started` and `finished` timestamps. The script
+as JSON without their `started` and `finished` timestamps. Each file of
+this tree's `run_jobs2/` is also compared with the reference's `run/`, so
+both ways of writing the records answer to the reference. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
@@ -22,7 +26,7 @@ held to). It then prints the line totals of `src/bovirial/*.py` in
 both trees (the size the code should shrink by) and the length of each
 tree's `bovirial.__all__` (the public surface), and exits 1 on any
 output difference, 0 otherwise.
-Stdlib only; both trees together take about half a minute on two cores
+Stdlib only; both trees together take about a minute on two cores
 (most of it the `soliton_decay` run). A reference
 tree of an earlier commit can be made offline, for example with
 `git worktree add ../ref HEAD~1` or
@@ -51,6 +55,7 @@ def _produce(tree: str, out: str) -> None:
                for arg in ("--config", os.path.join(HERE, "scripts", cfg))]
     runs = os.path.join(out, "run")
     for args in (["run", *configs, "--out", runs],
+                 ["run", *configs, "--jobs", "2", "--out", os.path.join(out, "run_jobs2")],
                  ["check-lemmas", "--out", os.path.join(out, "lemmas")],
                  ["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                   "--out", os.path.join(out, "analyze")]):
@@ -142,19 +147,24 @@ def main(argv: list[str]) -> int:
             os.makedirs(out)
             _produce(tree, out)
         ref_files, new_files = _files(ref_out), _files(new_out)
+        pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
+        pairs += [(os.path.join("run", os.path.basename(rel)), rel)
+                  for rel in sorted(new_files) if rel.startswith("run_jobs2" + os.sep)]
         differ = 0
-        for rel in sorted(ref_files | new_files):
-            if rel not in ref_files or rel not in new_files:
-                verdict = "only in " + ("reference" if rel in ref_files else "this tree")
+        for ref_rel, rel in pairs:
+            if ref_rel not in ref_files or rel not in new_files:
+                verdict = "only in " + ("reference" if ref_rel in ref_files else "this tree")
             else:
-                verdict = "identical" if _same(os.path.join(ref_out, rel),
+                verdict = "identical" if _same(os.path.join(ref_out, ref_rel),
                                                os.path.join(new_out, rel)) else "DIFFERS"
             differ += verdict != "identical"
-            print(f"{verdict:>12}  {rel}")
+            against = "" if ref_rel == rel else f"  (against reference {ref_rel})"
+            print(f"{verdict:>12}  {rel}{against}")
             if verdict == "DIFFERS" and rel.endswith((".csv", ".dat")):
-                for line in _column_maxima(os.path.join(ref_out, rel), os.path.join(new_out, rel)):
+                for line in _column_maxima(os.path.join(ref_out, ref_rel),
+                                           os.path.join(new_out, rel)):
                     print(f"{'':>14}max |diff|  {line}")
-    print(f"{len(ref_files | new_files) - differ} identical, {differ} differing")
+    print(f"{len(pairs) - differ} identical, {differ} differing")
     print(f"src lines: {_src_lines(ref_tree)} in reference, {_src_lines(HERE)} in this tree")
     print(f"bovirial.__all__ names: {_export_count(ref_tree)} in reference, "
           f"{_export_count(HERE)} in this tree")

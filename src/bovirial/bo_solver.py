@@ -6,6 +6,8 @@ The equation is u_t + (H u_x + u^2)_x = 0 with H the Hilbert transform of
 only ever sees the quadratic flux. The flux is dealiased by the 2/3 rule;
 both symbols are the grid's own, and the budget diagnostics call the same
 `_flux`, so closure checks see exactly the solver's nonlinearity.
+`iter_trajectory` yields the recorded states one at a time and keeps none
+of them; `run_trajectory` collects them in a list.
 
 Solitary waves: the profile A/(1 + B^2 (x - x0)^2) travels at speed s
 when H Q' + Q^2 = s Q. Under the sign conventions above that identity is
@@ -18,7 +20,9 @@ the parameter record this discretization actually certifies;
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "SolitonParams",
     "check_stability",
     "bo_rhs",
+    "iter_trajectory",
     "run_trajectory",
     "invariants",
     "conserved_energy",
@@ -137,33 +142,54 @@ def bo_rhs(u: Field) -> Field:
     return Field(g, np.fft.irfft(out + _flux(u.samples, g), g.n))
 
 
-def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:
-    """Integrate from t0 to t_end, returning the recorded states.
+def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
+    """Integrate from t0 to t_end, yielding each recorded state as it is made.
 
     Records are kept at step 0, every `record_every` steps, and at the
     final step. Absolute time is recomputed from the step counter
     (t = t0 + step*dt) rather than accumulated, so it never drifts.
-    Non-finite samples abort with BlowupError; states recorded before the
-    abort travel with the exception as `partial`.
+    The generator holds no state it has yielded, so a caller that keeps
+    only a few bounds the memory of any length of run. Non-finite samples
+    raise BlowupError, with an empty `partial`.
     """
     g = u0.grid
     check_stability(cfg, g)
-    n_steps = cfg.n_steps
     plan = _Plan(g, cfg.dt)
     vh = np.fft.rfft(u0.samples)
-    records = [TrajectoryState(u0, cfg.t0)]
+    yield TrajectoryState(u0, cfg.t0)
+    del u0
+    done = 0
+    for k in itertools.chain(range(cfg.record_every, cfg.n_steps, cfg.record_every),
+                             (cfg.n_steps,)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k - done):
+                vh = plan.advance(vh)
+        done = k
+        yield _state(g, vh, cfg.t0 + k * cfg.dt, k)
+
+
+def _state(g: Grid, vh: np.ndarray, t: float, step: int) -> TrajectoryState:
+    """The recorded state whose half spectrum is vh."""
+    # Field copies the transform's output: kept as is, it made glibc trim and regrow
+    # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            vh = plan.advance(vh)
-            if k % cfg.record_every == 0 or k == n_steps:
-                t_k = cfg.t0 + k * cfg.dt
-                # Field copies the transform's output: kept as is, it made glibc trim and regrow
-                # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
-                try:
-                    u = Field(g, np.fft.irfft(vh, g.n))
-                except ValueError:
-                    raise BlowupError(t_k, k, records) from None
-                records.append(TrajectoryState(u, t_k))
+        samples = np.fft.irfft(vh, g.n)
+    try:
+        return TrajectoryState(Field(g, samples), t)
+    except ValueError:
+        raise BlowupError(t, step, []) from None
+
+
+def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:
+    """Every state `iter_trajectory` records, as a list. On a blowup the
+    BlowupError's `partial` holds the states recorded before it."""
+    records = []
+    try:
+        for state in iter_trajectory(u0, cfg):
+            records.append(state)
+    except BlowupError as exc:
+        exc.partial = records
+        raise
     return records
 
 
@@ -196,7 +222,8 @@ def conserved_energy(u: Field) -> float:
     traveling waves."""
     g = u.grid
     dh = frac_deriv(u, 0.5)
-    cubic = float(g.spacing * np.sum(u.samples ** 3))
+    s = u.samples
+    cubic = float(g.spacing * np.sum(s * s * s))
     return inner(dh, dh) + (2.0 / 3.0) * cubic
 
 

@@ -13,18 +13,24 @@ Subcommands:
 Config files are flat `key = value` text with dotted keys and '#'
 comments. Records are CSV with a fixed column order and floats written in
 shortest round-trip form, so identical configs produce byte-identical
-files. Exit codes: 0 success, 2 configuration error, 3 numerical abort.
-The BOVIRIAL_OUT environment variable supplies the default output
-directory when --out is omitted.
+files. Rows are written and flushed as the run goes, from a window of
+three states; a run of one config at a time computes the budgets in a
+second process fed over a pipe, while a pool worker of `run --jobs N`
+writes its rows itself. Exit codes: 0 success, 1 failed budgets process,
+2 configuration error, 3 numerical abort. The BOVIRIAL_OUT environment
+variable supplies the default output directory when --out is omitted.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import multiprocessing
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -35,10 +41,11 @@ from . import __version__
 from .bo_solver import (
     BlowupError,
     SolverConfig,
+    TrajectoryState,
     check_stability,
+    iter_trajectory,
     l1_growth_fit,
     profile_residual,
-    run_trajectory,
     soliton,
     soliton_profile,
 )
@@ -60,6 +67,7 @@ from .virial_diagnostics import (
     lambda_at,
 )
 # unused here, but perfbench's tracer wraps them as this module's attributes
+from .bo_solver import run_trajectory  # noqa: F401
 from .inequality_harness import run_check  # noqa: F401
 from .virial_diagnostics import energy_budget, mass_budget  # noqa: F401
 
@@ -247,7 +255,8 @@ def _cells(compute, *args) -> str | None:
     """The values compute(*args) returns as comma-separated CSV cells, or
     None when one is not finite or an operator result overflowed on the way."""
     try:
-        values = compute(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = compute(*args)
     except ValueError:
         return None
     return ",".join(map(_fmt, values)) if all(map(math.isfinite, values)) else None
@@ -264,32 +273,107 @@ def _budget_values(*args) -> list[float]:
         [getattr(energy, name) for name in _ENERGY_CELLS]
 
 
-def _write_records(path: str, states, sched: WeightSchedule) -> int:
-    """Write one CSV line per recorded state, budget cells filled where it has
-    two equally spaced neighbors, and return the row count. Rows stop before
-    the first state whose diagnostics are not all finite (near a blowup the
-    cubic functionals overflow first), so no cell is ever inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = []
-        for st in states:
-            cells = _cells(_record_values, st.u, st.t, sched)
+_NO_BUDGET = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
+
+
+def _write_rows(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
+    """Write one CSV line per (state, record cells) pair of `records`, each
+    flushed as it is written. Return the row count, and the time of the
+    first state left out (None when none is).
+
+    A row's budget cells are filled where its state has two equally spaced
+    neighbors, so rows trail the records by one state: the rolling window
+    (prev, cur, next) is all that is held, whatever the length of the run.
+    Rows stop before the first state whose record cells are None or whose
+    budgets are not all finite (near a blowup the cubic functionals
+    overflow first), so no cell is ever inf or nan; `records` is not read
+    past that state."""
+    prev = cur = cur_cells = cut = None
+    rows = 0
+    with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for nxt, cells in records:
             if cells is None:
+                cut = nxt.t
                 break
-            rows.append(cells)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for i, cells in enumerate(rows):
-                budget = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
-                if 0 < i < len(rows) - 1:
-                    prev, st, nxt = states[i - 1 : i + 2]
-                    h_prev, h_next = st.t - prev.t, nxt.t - st.t
+            if cur is not None:
+                budget = _NO_BUDGET
+                if prev is not None:
+                    h_prev, h_next = cur.t - prev.t, nxt.t - cur.t
                     if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
-                        terms = _cells(_budget_values, prev.u, st.u, nxt.u, st.t, h_prev, sched)
+                        terms = _cells(_budget_values, prev.u, cur.u, nxt.u, cur.t, h_prev,
+                                       cfg.weight)
                         if terms is None:
-                            return i
+                            return rows, cur.t
                         budget = "," + terms
-                fh.write(cells + budget + "\n")
-    return len(rows)
+                fh.write(cur_cells + budget + "\n")
+                rows += 1
+            prev, cur, cur_cells = cur, nxt, cells
+        if cur is not None:
+            fh.write(cur_cells + _NO_BUDGET + "\n")
+            rows += 1
+    return rows, cut
+
+
+class _BudgetsFailed(RuntimeError):
+    """The budgets process raised; the message is its traceback."""
+
+
+def _write_piped(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
+    """_write_rows run in a second process, fed from this one: this process
+    integrates and computes the record cells while the other computes the
+    budgets, so the two overlap. Each record crosses the pipe as the bytes
+    t | samples | record cells (empty where not finite); an empty message
+    ends the stream. A failure of the budgets process raises _BudgetsFailed."""
+    # forked, it starts from this process's memory, where a spawned process
+    # would import numpy and the package again
+    fork = multiprocessing.get_context("fork")
+    conn, child_conn = fork.Pipe()
+    consumer = fork.Process(target=_consume, args=(child_conn, path, cfg))
+    consumer.start()
+    child_conn.close()
+    try:
+        try:
+            for st, cells in records:
+                conn.send_bytes(np.append(st.t, st.u.samples).tobytes()
+                                + (cells or "").encode())
+                if cells is None:
+                    break
+                del st  # hold no sent state while the next is integrated
+            conn.send_bytes(b"")
+        except ConnectionError:
+            pass  # the budgets process stopped reading: it says why below
+        try:
+            result = conn.recv()
+        except (EOFError, ConnectionError):
+            result = None
+    finally:
+        conn.close()
+        consumer.join()
+    if not isinstance(result, tuple):
+        raise _BudgetsFailed(result or f"it exited with code {consumer.exitcode}")
+    return result
+
+
+def _consume(conn, path: str, cfg: ScenarioConfig) -> None:
+    """The budgets process: write the rows of the records `_write_piped`
+    sends, then send back _write_rows' result, or the traceback if it
+    raised. It ends without a word when the sender closes the pipe early."""
+    try:
+        result = _write_rows(path, _received(conn, cfg.grid), cfg)
+    except EOFError:
+        return
+    except Exception:
+        result = traceback.format_exc()
+    conn.send(result)
+
+
+def _received(conn, grid: Grid):
+    """The (state, record cells) pairs `_write_piped` sends, up to its empty message."""
+    while message := conn.recv_bytes():
+        values = np.frombuffer(message, np.float64, grid.n + 1)
+        cells = message[values.nbytes:].decode() or None
+        yield TrajectoryState(Field(grid, values[1:]), float(values[0])), cells
 
 
 def _write_json(path: str, obj) -> None:
@@ -302,24 +386,36 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
+def run_scenario(cfg: ScenarioConfig, out_dir: str, write) -> int:
+    """Run one config: the records CSV, written as the run goes by `write`
+    (_write_rows, or _write_piped to compute the budgets in a second
+    process), then the manifest. Returns the exit code."""
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
     manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
     started = _now()
-    u0 = initial_condition(cfg)
     status = "completed"
+
+    def records():
+        nonlocal status
+        try:
+            for st in iter_trajectory(initial_condition(cfg), cfg.solver):
+                yield st, _cells(_record_values, st.u, st.t, cfg.weight)
+                del st  # hold no yielded state while the next is integrated
+        except BlowupError as exc:
+            status = "aborted"
+            print(f"error: {exc}", file=sys.stderr)
+
     try:
-        states = run_trajectory(u0, cfg.solver)
-    except BlowupError as exc:
-        states = exc.partial
+        rows, cut = write(records_path, records(), cfg)
+    except _BudgetsFailed as exc:
+        print(f"error: budgets process failed; {records_path} keeps the rows written "
+              f"so far, and no manifest is written\n{exc}", file=sys.stderr)
+        return 1
+    if cut is not None:
         status = "aborted"
-        print(f"error: {exc}", file=sys.stderr)
-    rows = _write_records(records_path, states, cfg.weight)
-    if rows < len(states):
-        status = "aborted"
-        print(f"error: diagnostics not finite at t={states[rows].t:g}; "
-              f"records stop after {rows} of {len(states)} states", file=sys.stderr)
+        print(f"error: diagnostics not finite at t={cut:g}; records stop after {rows} states",
+              file=sys.stderr)
     manifest = {
         "config": cfg.raw,
         "version": __version__,
@@ -332,9 +428,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
     return 0 if status == "completed" else 3
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep the heap a run frees, here and in forked processes.
+    With no stored state above them, a step's freed temporaries were trimmed
+    and faulted back every step (728k minor faults, 1.8 s of system time on
+    the stock soliton run; 6k with this). Setting the trim threshold stops
+    glibc raising the mmap threshold itself, so that is set too, keeping
+    arrays of 128 KB and more (n >= 16384) off per-array mmaps."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD, glibc's largest on 64-bit
+
+
 def _run_one(args: tuple[ScenarioConfig, str]) -> int:
-    """Pool entry: run one loaded config into its output directory."""
-    return run_scenario(*args)
+    """Pool entry: run one loaded config into its output directory, the
+    rows written in this worker."""
+    return run_scenario(*args, _write_rows)
 
 
 def _load(path: str):
@@ -613,6 +727,7 @@ def main(argv=None) -> int:
             out_dir = _default_out(args.out)
             if args.jobs < 1:
                 raise ConfigError("--jobs must be >= 1")
+            _keep_freed_heap()
             if args.jobs > 1 and len(args.config) > 1:
                 # workers load too: random initial data imports numpy.random
                 # (about 6 MB resident), which the parent then never holds
@@ -620,8 +735,9 @@ def main(argv=None) -> int:
                     codes, tasks = _load_runs(args.config, out_dir, pool.map)
                     codes += pool.map(_run_one, tasks)
             else:
+                # one run at a time, its budgets computed in a second process
                 codes, tasks = _load_runs(args.config, out_dir, map)
-                codes += map(_run_one, tasks)
+                codes += (run_scenario(*task, _write_piped) for task in tasks)
             return max(codes)
         if args.command == "check-lemmas":
             try:

@@ -3,14 +3,17 @@
 import glob
 import json
 import math
+import multiprocessing
 import os
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bovirial as bv
+from bovirial import experiment_cli
 from bovirial.experiment_cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -45,6 +48,16 @@ grid.length = 200.0
 solver.dt = 0.005
 solver.t0 = 2.0
 solver.t_end = 2.05
+"""
+
+# records at steps 0, 3, 6, 9 and 10: the last spacing is one step, so the
+# row before the final one has uneven neighbors and no budget cells
+GAUSSIAN_UNEVEN_CFG = GRID_AND_SOLVER + """\
+solver.record_every = 3
+scenario = gaussian
+gaussian.amplitude = 0.5
+gaussian.width = 4.0
+output.prefix = uneven
 """
 
 # initial data that passes every key check but cannot start a run
@@ -277,18 +290,89 @@ gaussian.width = 2.0
         assert os.path.isfile(os.path.join(out, "wave.csv"))
 
     def test_parallel_fanout_matches_serial(self, tmp_path):
+        # serial runs stream the records to a budgets process, pool workers
+        # write them in-process: both feeders must write the same bytes
         cfg1 = write_cfg(tmp_path, SOLITON_CFG, "one.cfg")
         cfg2 = write_cfg(
             tmp_path, SOLITON_CFG.replace("wave", "wave2"), "two.cfg")
+        cfg3 = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "three.cfg")
+        configs = ["--config", cfg1, "--config", cfg2, "--config", cfg3]
         serial, par = str(tmp_path / "s"), str(tmp_path / "p")
-        assert main(["run", "--config", cfg1, "--config", cfg2,
-                     "--out", serial]) == 0
-        assert main(["run", "--config", cfg1, "--config", cfg2,
-                     "--out", par, "--jobs", "2"]) == 0
-        for name in ("wave.csv", "wave2.csv"):
+        assert main(["run", *configs, "--out", serial]) == 0
+        assert main(["run", *configs, "--out", par, "--jobs", "2"]) == 0
+        for name in ("wave.csv", "wave2.csv", "uneven.csv"):
             a = open(os.path.join(serial, name), "rb").read()
             b = open(os.path.join(par, name), "rb").read()
             assert a == b
+        _, rows = parse_records(os.path.join(par, "uneven.csv"))
+        assert [r["energy_residual"] is None for r in rows] == [True, False, False, True, True]
+
+    def test_budgets_process_failure_exits_1_and_keeps_rows(self, tmp_path, monkeypatch,
+                                                             capsys):
+        text = SOLITON_CFG.replace("solver.t_end = 12.0", "solver.t_end = 2.5")
+        cfg = write_cfg(tmp_path, text.replace("solver.record_every = 200",
+                                               "solver.record_every = 1"))
+        ref, out = str(tmp_path / "ref"), str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", ref]) == 0
+        budgets, calls = experiment_cli.budgets, []
+
+        def failing(*args):
+            # runs in the budgets process, which counts its own calls
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("injected budgets failure")
+            return budgets(*args)
+
+        monkeypatch.setattr(experiment_cli, "budgets", failing)
+        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert multiprocessing.active_children() == []
+        err = capsys.readouterr().err
+        assert "budgets process failed" in err and "injected budgets failure" in err
+        # rows 0 (no budgets), 1 and 2 were written before the third call raised
+        with open(os.path.join(ref, "wave.csv")) as fh:
+            want = fh.read().splitlines()[:4]
+        with open(os.path.join(out, "wave.csv")) as fh:
+            assert fh.read().splitlines() == want
+        assert not os.path.exists(os.path.join(out, "wave.manifest.json"))
+
+    def test_writer_holds_at_most_three_states(self, tmp_path):
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        cfg = build_config(parse_config_text(text))
+        refs, alive = [], []
+
+        def records():
+            for st in bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver):
+                refs.append(weakref.ref(st.u))
+                alive.append(sum(r() is not None for r in refs))
+                cells = experiment_cli._cells(experiment_cli._record_values, st.u, st.t,
+                                              cfg.weight)
+                yield st, cells
+
+        path = str(tmp_path / "uneven.csv")
+        assert experiment_cli._write_rows(path, records(), cfg) == (11, None)
+        # prev, cur and the next state, which completes cur's budgets
+        assert max(alive) == 3
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+        assert open(path, "rb").read() == open(os.path.join(out, "uneven.csv"), "rb").read()
+
+    def test_serial_parent_keeps_no_sent_state(self, tmp_path, monkeypatch):
+        integrate, refs, kept = bv.iter_trajectory, [], []
+
+        def watched(u0, solver):
+            states = integrate(u0, solver)
+            del u0
+            for st in states:
+                # the states sent before this one, still alive in this process
+                kept.append(sum(r() is not None for r in refs))
+                refs.append(weakref.ref(st.u))
+                yield st
+
+        monkeypatch.setattr(experiment_cli, "iter_trajectory", watched)
+        cfg = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3",
+                                                             "solver.record_every = 1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert kept == [0] * 11
 
     def test_fanout_reports_worst_exit_code(self, tmp_path):
         good = write_cfg(tmp_path, SOLITON_CFG, "good.cfg")

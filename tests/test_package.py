@@ -54,6 +54,7 @@ UNCALLED_EXPORTS = {
     "invariants",  # single-state API: (I1, I2, E, L1)
     "local_energy",  # single-state API: F
     "conserved_energy",  # single-state API: the Hamiltonian
+    "run_trajectory",  # iter_trajectory as a list, for library callers; perfbench's tracer wraps it
     "mass_budget",  # perfbench's tracer times budgets through these two halves
     "energy_budget",  # (experiment_cli imports them for it) until budgets is traced itself
     "run_check",  # tests' single-check dispatch; perfbench's tracer patches it
