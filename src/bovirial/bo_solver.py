@@ -202,16 +202,16 @@ def invariants(u: Field) -> tuple[float, float, float, float]:
     coefficient is +2/3 (see conserved_energy); this E is still constant
     on traveling waves, and both are tracked by the diagnostics.
     """
-    return _invariants(u, frac_deriv(u, 0.5))
+    return _invariants(u, frac_deriv(u, 0.5).samples)
 
 
-def _invariants(u: Field, dh: Field) -> tuple[float, float, float, float]:
-    """invariants(u) given dh = D^{1/2}u, for callers that already hold it."""
+def _invariants(u: Field, dh: np.ndarray) -> tuple[float, float, float, float]:
+    """invariants(u) given the samples dh of D^{1/2}u, for callers that already hold them."""
     g = u.grid
     s = u.samples
     i1 = float(g.spacing * np.sum(s))
     i2 = inner(u, u)
-    e = inner(dh, dh) - float(g.spacing * np.sum(s * s * s)) / 3.0
+    e = float(g.spacing * np.dot(dh, dh)) - float(g.spacing * np.sum(s * s * s)) / 3.0
     l1 = float(g.spacing * np.sum(np.abs(s)))
     return i1, i2, e, l1
 

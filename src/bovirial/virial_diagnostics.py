@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo_solver import _flux, _invariants
-from .spectral_core import Field, Grid, _inverse, _positive, _same_grid, deriv, frac_deriv, hilbert, inner
+from .spectral_core import Field, Grid, _positive, _same_grid, deriv, frac_deriv, hilbert
 # unused here, but perfbench's tracer wraps it as this module's dealias
 from .spectral_core import dealias as spectral_dealias  # noqa: F401
 
@@ -165,20 +165,20 @@ class DiagRecord:
 def local_energy(u: Field, lam: float) -> float:
     """F = int phi'(x/lam) (u^2 + (D^{1/2}u)^2) dx, always >= 0."""
     _positive(lam, "lam")
-    return _local_energy(u, frac_deriv(u, 0.5), lam)
+    return _local_energy(u, frac_deriv(u, 0.5).samples, lam)
 
 
-def _local_energy(u: Field, dh: Field, lam: float) -> float:
+def _local_energy(u: Field, dh: np.ndarray, lam: float) -> float:
     g = u.grid
     wp = phi_prime(g.coords / lam)
-    val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh.samples ** 2))
+    val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh ** 2))
     return float(val)
 
 
 def diag_record(u: Field, t: float, s: WeightSchedule) -> DiagRecord:
     """Invariants and local energy at t; D^{1/2}u is computed once for E and F."""
     lam = lambda_at(s, t)
-    dh = frac_deriv(u, 0.5)
+    dh = np.fft.irfft(np.fft.rfft(u.samples) * u.grid._half_sym, u.grid.n)
     i1, i2, e, l1 = _invariants(u, dh)
     return DiagRecord(t=float(t), I1=i1, I2=i2, E=e, L1=l1, F=_local_energy(u, dh, lam), lam=lam)
 
@@ -231,13 +231,6 @@ class EnergyBudget:
     residual: float
 
 
-def _budget_guard(u_prev: Field, u: Field, u_next: Field, dt: float) -> Grid:
-    g = _same_grid(u, u_prev)
-    _same_grid(u, u_next)
-    _positive(dt, "dt")
-    return g
-
-
 def _weighted_sum(grid: Grid, weight: np.ndarray, samples: np.ndarray) -> float:
     return float(grid.spacing * (weight * samples).sum())
 
@@ -251,9 +244,12 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     at t with analytic w' and lambda'. The windows are evaluated once for
     both budgets, and the operators take one spectral pass (9 transforms):
     one rfft of u gives u_x, H u_x, H u_xx and D^{1/2}u, one of u^2 the flux
-    and one of phi' u the commutator.
+    and one of phi' u the commutator, all on plain arrays. Only the inputs are
+    checked: a state whose square overflows gives terms that are not finite.
     """
-    g = _budget_guard(u_prev, u, u_next, dt)
+    g = _same_grid(u, u_prev)
+    _same_grid(u, u_next)
+    _positive(dt, "dt")
     lam, w = lambda_at(s, t), w_at(s, t)
     z = g.coords / lam
     win, winp = phi(z), phi_prime(z)
@@ -271,20 +267,20 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
         return ddt, w_prime * _weighted_sum(g, win, rho), w_rate * _weighted_sum(g, zwinp, rho)
 
     spectrum = np.fft.rfft(u.samples)
-    ux, hux, disp, dh = (_inverse(g, spectrum, sym) for sym in (
+    ux, hux, disp, dh = (np.fft.irfft(spectrum * sym, g.n) for sym in (
         g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym, g._half_sym))
     # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
-    # the flux term the trajectory felt; a square that overflows fails here
-    flux = Field(g, np.fft.irfft(_flux(u.samples, g), g.n))
+    # the flux term the trajectory felt
+    flux = np.fft.irfft(_flux(u.samples, g), g.n)
     # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
     # plain products: the split d32 = d321 + d322 is then an exact adjointness
     # identity, not a band-limited approximation
-    half_wu = _inverse(g, np.fft.rfft(Field(g, winp * u.samples).samples), g._half_sym)
-    d322 = inner(dh, Field(g, half_wu.samples - winp * dh.samples))
+    half_wu = np.fft.irfft(np.fft.rfft(winp * u.samples) * g._half_sym, g.n)
+    d322 = float(g.spacing * np.dot(dh, half_wu - winp * dh))
 
     ddt, a1, a2 = window_terms(lambda v: v)
-    a3 = w * _weighted_sum(g, win, disp.samples)
-    a4 = -w * _weighted_sum(g, win, flux.samples)
+    a3 = w * _weighted_sum(g, win, disp)
+    a4 = -w * _weighted_sum(g, win, flux)
     mass = MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
                       residual=ddt - a1 + a2 + a3 + a4)
 
@@ -292,11 +288,11 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     # is exact in binary, so this matches weighting 1/2 u^2 directly
     ddt, damping, dilation = window_terms(np.square)
     ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
-    d31 = _weighted_sum(g, win, hux.samples * ux.samples)
-    d32 = _weighted_sum(g, winp, hux.samples * u.samples)
-    d321 = _weighted_sum(g, winp, dh.samples ** 2)
+    d31 = _weighted_sum(g, win, hux * ux)
+    d32 = _weighted_sum(g, winp, hux * u.samples)
+    d321 = _weighted_sum(g, winp, dh ** 2)
     b3 = -w * (d31 + d32 / lam)
-    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples ** 3)
+    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples * u.samples * u.samples)
     energy = EnergyBudget(t=float(t), ddt_term=ddt, b1=b1, b2=b2, b3=b3, b4=b4, d31=d31,
                           d32=d32, d321=d321, d322=d322, residual=ddt + b1 + b2 + b3 + b4)
     return mass, energy

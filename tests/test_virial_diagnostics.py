@@ -1,6 +1,8 @@
 """Weight closed forms, windowed functionals, and budget closures."""
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bovirial as bv
+from bovirial import experiment_cli
 from bovirial.bo_solver import _Plan
 from bovirial.inequality_harness import check_km1
 from bovirial.spectral_core import Field, _positive, dealias, deriv, frac_deriv, hilbert
@@ -360,6 +363,20 @@ class TestEnergyBudget:
         eb = bv.energy_budget(st_[0].u, st_[1].u, st_[2].u, st_[1].t, h, s)
         assert eb.residual == eb.ddt_term + eb.b1 + eb.b2 + eb.b3 + eb.b4
 
+    def test_overflowing_state_gives_terms_that_are_not_finite(self, grid_small):
+        # |u| = 1e200 is a finite Field, but u^2 overflows: budgets hands back
+        # terms that are not finite instead of raising, and the CSV writer's
+        # _cells turns them into a cut row without a numpy warning
+        x = grid_small.coords
+        u = Field(grid_small, 1e200 * np.exp(-((x / 5.0) ** 2)))
+        args = (u, u, u, 10.0, 0.01, bv.WeightSchedule(a=0.25))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass, energy = bv.budgets(*args)
+        assert not all(map(math.isfinite, astuple(mass)[1:] + astuple(energy)[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert experiment_cli._cells(experiment_cli._budget_values, *args) is None
+
 
 class TestOneSpectralPass:
     """A record takes one spectral pass: diag_record shares D^{1/2}u between
@@ -375,6 +392,25 @@ class TestOneSpectralPass:
         bv.budgets(st_[0].u, st_[1].u, st_[2].u, st_[1].t, st_[1].t - st_[0].t,
                    bv.WeightSchedule(a=0.25))
         assert transforms == {"rfft": 3, "irfft": 6}
+
+    def test_pass_builds_no_field(self, budget_states, monkeypatch):
+        # past their checked inputs both calls run on plain arrays
+        made = Counter()
+        post_init = Field.__post_init__
+
+        def counted(field):
+            made[current] += 1
+            post_init(field)
+
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        st_, s = budget_states, bv.WeightSchedule(a=0.25)
+        current = "budgets"
+        bv.budgets(st_[0].u, st_[1].u, st_[2].u, st_[1].t, st_[1].t - st_[0].t, s)
+        current = "diag_record"
+        bv.diag_record(st_[1].u, st_[1].t, s)
+        current = "counter"
+        Field(st_[1].u.grid, st_[1].u.samples)
+        assert made == {"counter": 1}
 
     @pytest.mark.parametrize("mid", [1, 2, 3])
     def test_budgets_match_op_by_op_reference(self, budget_states, mid):
