@@ -22,10 +22,11 @@ both ways of writing the records answer to the reference. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
-held to). It then prints the line totals of `src/bovirial/*.py` in
-both trees (the size the code should shrink by) and the length of each
-tree's `bovirial.__all__` (the public surface), and exits 1 on any
-output difference, 0 otherwise.
+held to), and under any other differing file a unified diff of its
+lines (a manifest's without its timestamps). It then prints the line
+totals of `src/bovirial/*.py` in both trees (the size the code should
+shrink by) and the length of each tree's `bovirial.__all__` (the public
+surface), and exits 1 on any output difference, 0 otherwise.
 Stdlib only; both trees together take about a minute on two cores
 (most of it the `soliton_decay` run). A reference
 tree of an earlier commit can be made offline, for example with
@@ -35,6 +36,7 @@ tree of an earlier commit can be made offline, for example with
 
 from __future__ import annotations
 
+import difflib
 import glob
 import json
 import os
@@ -93,16 +95,30 @@ def _files(root: str) -> set[str]:
             for d, _, names in os.walk(root) for f in names}
 
 
+def _manifest(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return {k: v for k, v in json.load(fh).items() if k not in TIMESTAMPS}
+
+
 def _same(a: str, b: str) -> bool:
     if a.endswith(".manifest.json"):
-        docs = []
-        for path in (a, b):
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            docs.append({k: v for k, v in doc.items() if k not in TIMESTAMPS})
-        return docs[0] == docs[1]
+        return _manifest(a) == _manifest(b)
     with open(a, "rb") as fa, open(b, "rb") as fb:
         return fa.read() == fb.read()
+
+
+def _unified_diff(a: str, b: str) -> list[str]:
+    """The lines of a unified diff from reference file `a` to this tree's `b`."""
+    texts = []
+    for path in (a, b):
+        if path.endswith(".manifest.json"):
+            texts.append(json.dumps(_manifest(path), indent=2, sort_keys=True) + "\n")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+    return [line.rstrip("\n") for line in difflib.unified_diff(
+        texts[0].splitlines(keepends=True), texts[1].splitlines(keepends=True),
+        "reference", "this tree")]
 
 
 def _table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -160,10 +176,14 @@ def main(argv: list[str]) -> int:
             differ += verdict != "identical"
             against = "" if ref_rel == rel else f"  (against reference {ref_rel})"
             print(f"{verdict:>12}  {rel}{against}")
-            if verdict == "DIFFERS" and rel.endswith((".csv", ".dat")):
-                for line in _column_maxima(os.path.join(ref_out, ref_rel),
-                                           os.path.join(new_out, rel)):
-                    print(f"{'':>14}max |diff|  {line}")
+            if verdict == "DIFFERS":
+                a, b = os.path.join(ref_out, ref_rel), os.path.join(new_out, rel)
+                if rel.endswith((".csv", ".dat")):
+                    for line in _column_maxima(a, b):
+                        print(f"{'':>14}max |diff|  {line}")
+                else:
+                    for line in _unified_diff(a, b):
+                        print(f"{'':>14}{line}")
     print(f"{len(pairs) - differ} identical, {differ} differing")
     print(f"src lines: {_src_lines(ref_tree)} in reference, {_src_lines(HERE)} in this tree")
     print(f"bovirial.__all__ names: {_export_count(ref_tree)} in reference, "

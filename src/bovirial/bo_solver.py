@@ -13,9 +13,8 @@ Solitary waves: the profile A/(1 + B^2 (x - x0)^2) travels at speed s
 when H Q' + Q^2 = s Q. Under the sign conventions above that identity is
 satisfied exactly by (A, s) = (-2B, -B); the classical normalization
 (A, s) = (4c, +c) belongs to the u u_x form of the equation and leaves an
-O(1) residual here. `soliton` returns the classical profile together with
-the parameter record this discretization actually certifies;
-`profile_residual` measures either candidate honestly.
+O(1) residual here. `soliton` returns the certified record;
+`profile_residual` measures any candidate honestly.
 """
 
 from __future__ import annotations
@@ -48,14 +47,12 @@ __all__ = [
 
 
 class BlowupError(RuntimeError):
-    """Raised when the integration produces non-finite samples; `partial`
-    holds the states recorded before the abort."""
+    """Raised when the integration produces non-finite samples."""
 
-    def __init__(self, t, step, partial):
+    def __init__(self, t, step):
         super().__init__(f"non-finite field detected at t={t:g} (step {step})")
         self.t = t
         self.step = step
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
     (t = t0 + step*dt) rather than accumulated, so it never drifts.
     The generator holds no state it has yielded, so a caller that keeps
     only a few bounds the memory of any length of run. Non-finite samples
-    raise BlowupError, with an empty `partial`.
+    raise BlowupError.
     """
     g = u0.grid
     check_stability(cfg, g)
@@ -177,20 +174,12 @@ def _state(g: Grid, vh: np.ndarray, t: float, step: int) -> TrajectoryState:
     try:
         return TrajectoryState(Field(g, samples), t)
     except ValueError:
-        raise BlowupError(t, step, []) from None
+        raise BlowupError(t, step) from None
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:
-    """Every state `iter_trajectory` records, as a list. On a blowup the
-    BlowupError's `partial` holds the states recorded before it."""
-    records = []
-    try:
-        for state in iter_trajectory(u0, cfg):
-            records.append(state)
-    except BlowupError as exc:
-        exc.partial = records
-        raise
-    return records
+    """Every state `iter_trajectory` records, as a list."""
+    return list(iter_trajectory(u0, cfg))
 
 
 def invariants(u: Field) -> tuple[float, float, float, float]:
@@ -243,25 +232,19 @@ def soliton_profile(p: SolitonParams, grid: Grid) -> Field:
     return Field(grid, p.amplitude / (1.0 + z * z))
 
 
-def soliton(c: float, x0: float, grid: Grid) -> tuple[SolitonParams, SolitonParams]:
-    """The classical and the certified parameter records of the solitary
-    wave of scale c centered at x0, as (classical, certified).
-
-    The classical record is the textbook pairing (amplitude, speed) =
-    (4c, +c), profile 4c/(1 + c^2 (x-x0)^2); under the sign conventions
-    integrated here it leaves an O(1) profile_residual and is reported,
-    never asserted. The certified record carries (-2c, -c): the member of
-    the same scale family that satisfies the traveling-wave equation
-    (profile_residual ~1e-16).
+def soliton(c: float, x0: float, grid: Grid) -> SolitonParams:
+    """The certified parameter record of the solitary wave of scale c
+    centered at x0: (amplitude, speed) = (-2c, -c), the member of the scale
+    family that satisfies the traveling-wave equation integrated here
+    (profile_residual ~1e-16). The textbook pairing (4c, +c) leaves an O(1)
+    residual under these sign conventions.
     """
     if 1.0 / _positive(c, "c") > grid.length / 20.0:
         raise ValueError(
             f"profile too wide for the grid: width 1/c = {1.0 / c:g} exceeds "
             f"length/20 = {grid.length / 20.0:g}"
         )
-    classical = SolitonParams(amplitude=4.0 * c, scale=c, center=x0, speed=c)
-    certified = SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c)
-    return classical, certified
+    return SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c)
 
 
 def _hilbert_deriv_closed_form(p: SolitonParams, grid: Grid) -> np.ndarray:

@@ -7,8 +7,8 @@ Subcommands:
   check-lemmas  sweep the inequality harness over the seeded corpus
   analyze       post-process a records CSV: decay integral, dyadic
                 minima, growth exponent, conservation drift
-  soliton-test  report traveling-wave residuals for both parameter
-                conventions
+  soliton-test  report the traveling-wave residual of the certified
+                soliton and, optionally, of its scale family
 
 Config files are flat `key = value` text with dotted keys and '#'
 comments. Records are CSV with a fixed column order and floats written in
@@ -226,8 +226,7 @@ def initial_condition(cfg: ScenarioConfig) -> Field:
     grid = cfg.grid
     p = cfg.params
     if cfg.scenario == "soliton":
-        _, certified = soliton(p["c"], p["x0"], grid)
-        return soliton_profile(certified, grid)
+        return soliton_profile(soliton(p["c"], p["x0"], grid), grid)
     if cfg.scenario == "gaussian":
         x = grid.coords
         return Field(grid, p["amplitude"] * np.exp(-(((x - p["center"]) / p["width"]) ** 2)))
@@ -626,8 +625,8 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
         raise ConfigError("need at least one lambda value")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    # a grid on which a corpus entry samples to zero is bad input too: no
-    # report is written for it
+    # a grid on which a corpus entry samples to zero, or a lambda whose weight
+    # vanishes wherever an entry does not, is bad input too: no report is written
     try:
         for lam in lams:
             _positive(lam, "lambda")
@@ -659,19 +658,16 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
 def soliton_test_cmd(c: float, validate_family: bool) -> int:
     grid = make_grid(4096, 400.0)
     try:
-        classical, certified = soliton(c, 0.0, grid)
+        certified = soliton(c, 0.0, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     r_cert = profile_residual(certified, grid)
-    r_class = profile_residual(classical, grid)
     print(f"certified  amplitude={certified.amplitude:g} speed={certified.speed:g} "
           f"residual={r_cert:.6e}")
-    print(f"classical  amplitude={classical.amplitude:g} speed={classical.speed:g} "
-          f"residual={r_class:.6e} (reported only)")
     ok = r_cert <= 1e-6
     if validate_family:
         for b in (0.5, 1.0, 2.0, 4.0):
-            r = profile_residual(soliton(b, 0.0, grid)[1], grid)
+            r = profile_residual(soliton(b, 0.0, grid), grid)
             good = r <= 1e-6
             ok = ok and good
             print(f"family B={b:g} residual={r:.6e} {'ok' if good else 'FAIL'}")

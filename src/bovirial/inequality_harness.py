@@ -12,8 +12,8 @@ ratio:
 Every formula is written once, as a private kernel, and lemma_table runs
 the kernels in three stages: once per entry (f_x, H f_x and D^{1/2}f from
 one rfft), once per window scale (phi, phi' and ||(phi')^'||_1), and once
-per pair (only COMM's commutator needs both). The single checks are the
-same kernels on one entry and one scale. A zero input field raises
+per pair (only COMM's commutator needs both). run_check is the same
+kernels on one entry and one scale. A zero input field raises
 ValueError under every check.
 
 The inequalities assert existence of constants, never their values, so the
@@ -36,24 +36,18 @@ from .spectral_core import (
     _inverse,
     _same_grid,
     fourier_l1_deriv,
-    frac_deriv,
     l2_norm,
 )
 from .virial_diagnostics import phi, window_prime
 
 # unused here, but perfbench's tracer wraps them as this module's attributes
-from .spectral_core import dealias as spectral_dealias, deriv, hilbert  # noqa: F401
+from .spectral_core import dealias as spectral_dealias, deriv, frac_deriv, hilbert  # noqa: F401
 from .virial_diagnostics import phi_prime  # noqa: F401
 
 __all__ = [
     "LemmaReport",
     "Corpus",
     "build_corpus",
-    "commutator_half",
-    "check_km1",
-    "check_km2",
-    "check_comm",
-    "check_key",
     "run_check",
     "lemma_table",
     "calibrate",
@@ -169,11 +163,13 @@ def _window(grid: Grid, lam: float) -> _Window:
 
 def _quad(e: _Entry, w: _Window) -> float:
     """(1/lam) int f^2 phi'(x/lam): the right side KM1 and KM2 share and KEY
-    scales. Zero means a zero input field, which no check accepts."""
+    scales. Zero means that no check can be taken: a zero input field, or a
+    weight so narrow (tiny lam) that it vanishes wherever f does not."""
     g = _same_grid(e.f, w.wp)
     quad = float(g.spacing * np.sum(w.wp.samples * e.f.samples ** 2)) / w.lam
     if quad == 0.0:
-        raise ValueError("zero input field")
+        raise ValueError(f"zero input field, or a weight phi'(x/lam) that vanishes wherever "
+                         f"the field does not (int f^2 phi'(x/lam) = 0 at lam = {w.lam:g})")
     return quad
 
 
@@ -188,6 +184,7 @@ def _commutator(phi_w: Field, u: Field, du: Field) -> Field:
 
 
 def _km1(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    """Signed: the bound is one-sided and constrains positive lhs only."""
     lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * e.hfx.samples * e.f.samples))
     return LemmaReport("KM1", w.lam, lhs, quad, lhs / quad, input_id)
 
@@ -197,80 +194,32 @@ def _km2(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
     return LemmaReport("KM2", w.lam, lhs, quad, lhs / quad, input_id)
 
 
-def _comm(e: _Entry, wp: Field, wp_l1: float, lam: float, input_id: str) -> LemmaReport:
-    if not np.any(wp.samples):
-        raise ValueError("zero weight")
-    norm = l2_norm(e.f)
-    if norm == 0.0:
-        raise ValueError("zero input field")
-    lhs = l2_norm(_commutator(wp, e.f, e.half))
-    rhs_unit = wp_l1 * norm
-    return LemmaReport("COMM", lam, lhs, rhs_unit, lhs / rhs_unit if rhs_unit > 0.0 else 0.0,
+def _comm(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    """A weight that is constant on the grid (lam far above the box) commutes
+    exactly: rhs_unit is 0, lhs is at rounding level, and the ratio reads 0."""
+    lhs = l2_norm(_commutator(w.wp, e.f, e.half))
+    rhs_unit = w.wp_l1 * l2_norm(e.f)
+    return LemmaReport("COMM", w.lam, lhs, rhs_unit, lhs / rhs_unit if rhs_unit > 0.0 else 0.0,
                        input_id)
 
 
 def _key(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    """The norm factor makes the ratio exactly scale-invariant."""
     rhs_unit = (l2_norm(e.f) + l2_norm(e.half)) * quad * w.lam  # undo the 1/lam
     a = np.abs(e.f.samples)
     lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * (a * a * a)))
     return LemmaReport("KEY", w.lam, lhs, rhs_unit, lhs / rhs_unit, input_id)
 
 
-def _single(kernel, f: Field, lam: float, input_id: str) -> LemmaReport:
-    e, w = _entry(f), _window(f.grid, lam)
-    return kernel(e, w, _quad(e, w), input_id)
-
-
-def commutator_half(phi_w: Field, u: Field) -> Field:
-    """D^{1/2}( D^{1/2}(phi_w u) - phi_w D^{1/2}u ), both products truncated
-    by the 2/3 rule before transforming."""
-    return _commutator(phi_w, u, frac_deriv(u, 0.5))
-
-
-def check_km1(f: Field, lam: float, input_id: str = "") -> LemmaReport:
-    """Signed ratio of int (H f_x) f phi'(x/lam) against (1/lam) int f^2 phi'.
-    One-sided: the bound constrains positive lhs only."""
-    return _single(_km1, f, lam, input_id)
-
-
-def check_km2(f: Field, lam: float, input_id: str = "") -> LemmaReport:
-    """|int (H f_x) f_x phi(x/lam)| against (1/lam) int f^2 phi'(x/lam)."""
-    return _single(_km2, f, lam, input_id)
-
-
-def check_comm(phi_w: Field, u: Field, lam: float = float("nan"),
-               input_id: str = "") -> LemmaReport:
-    """||D^{1/2}[D^{1/2}; phi_w]u||_2 against ||(phi_w')^||_1 ||u||_2.
-
-    `lam` is only bookkeeping for the report row (the weight is passed
-    sampled). A zero u raises "zero input field", as under the other
-    checks, and a zero weight raises too. A constant weight commutes
-    exactly, leaving rhs_unit = 0 and lhs at rounding level; that
-    degenerate case reports ratio 0.
-    """
-    return _comm(_entry(u), phi_w, fourier_l1_deriv(phi_w), float(lam), input_id)
-
-
-def check_key(u: Field, lam: float, input_id: str = "") -> LemmaReport:
-    """int |u|^3 phi'(x/lam) against (||u||_2 + ||D^{1/2}u||_2) int u^2 phi'.
-
-    The norm factor mirrors the inequality's constant, which depends on the
-    data's L2 and H^{1/2} sizes; with it the ratio is exactly
-    scale-invariant."""
-    return _single(_key, u, lam, input_id)
+_KERNELS = {"KM1": _km1, "KM2": _km2, "COMM": _comm, "KEY": _key}  # in TAGS order
 
 
 def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport:
-    """Dispatch one check by tag; COMM gets the sampled phi'(x/lam) weight."""
-    if tag == "KM1":
-        return check_km1(f, lam, input_id)
-    if tag == "KM2":
-        return check_km2(f, lam, input_id)
-    if tag == "COMM":
-        return check_comm(window_prime(f.grid, lam), f, lam=lam, input_id=input_id)
-    if tag == "KEY":
-        return check_key(f, lam, input_id)
-    raise ValueError(f"unknown check tag {tag!r}")
+    """One check by tag on one field at one window scale: lemma_table's row."""
+    if tag not in _KERNELS:
+        raise ValueError(f"unknown check tag {tag!r}")
+    e, w = _entry(f), _window(f.grid, lam)
+    return _KERNELS[tag](e, w, _quad(e, w), input_id)
 
 
 def lemma_table(corpus: Corpus, lams) -> tuple[LemmaReport, ...]:
@@ -285,10 +234,8 @@ def lemma_table(corpus: Corpus, lams) -> tuple[LemmaReport, ...]:
         e = _entry(f)
         for w in windows:
             quad = _quad(e, w)
-            rows["KM1"].append(_km1(e, w, quad, label))
-            rows["KM2"].append(_km2(e, w, quad, label))
-            rows["COMM"].append(_comm(e, w.wp, w.wp_l1, w.lam, label))
-            rows["KEY"].append(_key(e, w, quad, label))
+            for tag, kernel in _KERNELS.items():
+                rows[tag].append(kernel(e, w, quad, label))
     return tuple(rep for tag in TAGS for rep in rows[tag])
 
 

@@ -23,8 +23,6 @@ from bovirial.inequality_harness import (
     TAGS,
     build_corpus,
     calibrate,
-    check_comm,
-    check_key,
     lemma_table,
     run_check,
 )
@@ -34,7 +32,6 @@ from bovirial.virial_diagnostics import (
     lambda_at,
     phi_prime,
     phi_pp,
-    window_prime,
 )
 
 from conftest import CORPUS_LAMBDAS, CORPUS_SEED, FROZEN_CONSTANTS
@@ -47,7 +44,7 @@ def soliton_run():
     """Certified traveling wave on (4096, 400): t in [0, 10], dt = 1e-3,
     snapshots at steps 0, 5000, 10000. Shared by criteria 3 and 4."""
     g = bv.make_grid(4096, 400.0)
-    _, p = bv.soliton(1.0, 5.0, g)
+    p = bv.soliton(1.0, 5.0, g)
     u0 = bv.soliton_profile(p, g)
     cfg = bv.SolverConfig(dt=1e-3, t0=0.0, t_end=10.0, record_every=5000)
     return g, p, bv.run_trajectory(u0, cfg)
@@ -70,7 +67,7 @@ def decay_run():
     """Criterion 7 production run: certified soliton, window growing as
     t/log t, t in [10, 200] on (8192, 800), recorded once per unit time."""
     g = bv.make_grid(8192, 800.0)
-    _, p = bv.soliton(1.0, -10.0, g)
+    p = bv.soliton(1.0, -10.0, g)
     u0 = bv.soliton_profile(p, g)
     cfg = bv.SolverConfig(dt=0.02, t0=10.0, t_end=200.0, record_every=50)
     states = bv.run_trajectory(u0, cfg)
@@ -273,14 +270,13 @@ def test_criterion_6_km2_supremum_uniform_in_window_scale(frozen_corpus):
 
 def test_criterion_6_comm_and_key_ratios_scale_invariant(frozen_corpus):
     g = frozen_corpus.entries[0].grid
-    w = window_prime(g, 1.0)
     for f in frozen_corpus.entries[:4]:
         scaled = Field(g, 3.0 * f.samples)
-        a = check_comm(w, f).ratio
-        b = check_comm(w, scaled).ratio
+        a = run_check("COMM", f, 1.0).ratio
+        b = run_check("COMM", scaled, 1.0).ratio
         assert abs(a - b) <= 1e-12 * abs(a)
-        a = check_key(f, 5.0).ratio
-        b = check_key(scaled, 5.0).ratio
+        a = run_check("KEY", f, 5.0).ratio
+        b = run_check("KEY", scaled, 5.0).ratio
         assert abs(a - b) <= 1e-12 * abs(a)
 
 
@@ -350,7 +346,7 @@ def test_criterion_9_cli_determinism_and_round_trip(tmp_path):
 
     diags, _ = parse_records(os.path.join(out1, "accept.csv"))
     g = bv.make_grid(512, 200.0)
-    _, p = bv.soliton(1.0, 0.0, g)
+    p = bv.soliton(1.0, 0.0, g)
     states = bv.run_trajectory(
         bv.soliton_profile(p, g),
         bv.SolverConfig(dt=0.01, t0=2.0, t_end=4.0, record_every=50),

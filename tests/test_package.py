@@ -57,8 +57,7 @@ UNCALLED_EXPORTS = {
     "run_trajectory",  # iter_trajectory as a list, for library callers; perfbench's tracer wraps it
     "mass_budget",  # perfbench's tracer times budgets through these two halves
     "energy_budget",  # (experiment_cli imports them for it) until budgets is traced itself
-    "run_check",  # tests' single-check dispatch; perfbench's tracer patches it
-    "commutator_half",  # the COMM commutator as a Field; lemma_table uses its kernel
+    "run_check",  # tests' single check; perfbench's tracer patches it
     "dealias",  # the 2/3 rule as its own round trip; perfbench's tracer wraps it
 }
 
