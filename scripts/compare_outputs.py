@@ -10,6 +10,11 @@ temporary directory:
     so only the program differs), once serially into `run/` and once with
     `--jobs 2` into `run_jobs2/`: a serial run streams its records to a
     second process for the budgets, a pool worker writes them itself;
+  * `run` on two gaussian configs that blow up (written by this script
+    into the temporary directory), serially into `aborted/` and with
+    `--jobs 2` into `aborted_jobs2/`, each run expected to exit 3: at
+    amplitude 300 the diagnostics overflow first and the writer cuts the
+    rows, at amplitude 120 the field does and the integrator stops;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
@@ -17,8 +22,10 @@ temporary directory:
 
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. Each file of
-this tree's `run_jobs2/` is also compared with the reference's `run/`, so
-both ways of writing the records answer to the reference. The script
+this tree's `run_jobs2/` and `aborted_jobs2/` is also compared with the
+reference's `run/` and `aborted/`, so both ways of writing the records
+answer to the reference. A command that exits with another code than the
+one expected stops the script with its stderr. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
@@ -46,22 +53,53 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STOCK = ("soliton_decay.cfg", "gaussian_budget.cfg", "random_field.cfg")
+BLOWUP_AMPLITUDES = (300, 120)
+BLOWUP = """\
+scenario = gaussian
+grid.n = 256
+grid.length = 100.0
+solver.dt = 0.05
+solver.t0 = 2.0
+solver.t_end = 12.0
+gaussian.amplitude = {amp}
+gaussian.width = 5.0
+output.prefix = blowup_{amp}
+"""
+JOBS2 = {"run_jobs2": "run", "aborted_jobs2": "aborted"}  # --jobs 2 output: serial twin
 TIMESTAMPS = ("started", "finished")
 
 
-def _produce(tree: str, out: str) -> None:
+def _write_blowups(tmp: str) -> list[str]:
+    """`--config` arguments for the blowup configs, written under `tmp`."""
+    args = []
+    for amp in BLOWUP_AMPLITUDES:
+        path = os.path.join(tmp, f"blowup_{amp}.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(BLOWUP.format(amp=amp))
+        args += ["--config", path]
+    return args
+
+
+def _produce(tree: str, out: str, blowups: list[str]) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
     env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
     configs = [arg for cfg in STOCK
                for arg in ("--config", os.path.join(HERE, "scripts", cfg))]
     runs = os.path.join(out, "run")
-    for args in (["run", *configs, "--out", runs],
-                 ["run", *configs, "--jobs", "2", "--out", os.path.join(out, "run_jobs2")],
-                 ["check-lemmas", "--out", os.path.join(out, "lemmas")],
-                 ["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
-                  "--out", os.path.join(out, "analyze")]):
-        subprocess.run(cli + args, env=env, cwd=out, check=True)
+    for args, code in ((["run", *configs, "--out", runs], 0),
+                       (["run", *configs, "--jobs", "2", "--out", os.path.join(out, "run_jobs2")],
+                        0),
+                       (["run", *blowups, "--out", os.path.join(out, "aborted")], 3),
+                       (["run", *blowups, "--jobs", "2", "--out",
+                         os.path.join(out, "aborted_jobs2")], 3),
+                       (["check-lemmas", "--out", os.path.join(out, "lemmas")], 0),
+                       (["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
+                         "--out", os.path.join(out, "analyze")], 0)):
+        proc = subprocess.run(cli + args, env=env, cwd=out, stderr=subprocess.PIPE, text=True)
+        if proc.returncode != code:
+            sys.exit(f"{proc.stderr}{tree}/src: {' '.join(args)} exited {proc.returncode}, "
+                     f"expected {code}")
     with open(os.path.join(out, "soliton_test.txt"), "wb") as fh:
         subprocess.run(cli + ["soliton-test", "--c", "1", "--validate-family"],
                        env=env, cwd=out, check=True, stdout=fh)
@@ -159,13 +197,16 @@ def main(argv: list[str]) -> int:
     ref_tree = os.path.abspath(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
         ref_out, new_out = os.path.join(tmp, "ref"), os.path.join(tmp, "new")
+        blowups = _write_blowups(tmp)
         for tree, out in ((ref_tree, ref_out), (HERE, new_out)):
             os.makedirs(out)
-            _produce(tree, out)
+            _produce(tree, out, blowups)
         ref_files, new_files = _files(ref_out), _files(new_out)
         pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
-        pairs += [(os.path.join("run", os.path.basename(rel)), rel)
-                  for rel in sorted(new_files) if rel.startswith("run_jobs2" + os.sep)]
+        for rel in sorted(new_files):
+            top, _, name = rel.partition(os.sep)
+            if top in JOBS2:
+                pairs.append((os.path.join(JOBS2[top], name), rel))
         differ = 0
         for ref_rel, rel in pairs:
             if ref_rel not in ref_files or rel not in new_files:

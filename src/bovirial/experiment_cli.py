@@ -16,9 +16,10 @@ shortest round-trip form, so identical configs produce byte-identical
 files. Rows are written and flushed as the run goes, from a window of
 three states; a run of one config at a time computes the budgets in a
 second process fed over a pipe, while a pool worker of `run --jobs N`
-writes its rows itself. Exit codes: 0 success, 1 failed budgets process,
-2 configuration error, 3 numerical abort. The BOVIRIAL_OUT environment
-variable supplies the default output directory when --out is omitted.
+(one per config, at most N) writes its rows itself. Exit codes: 0 success,
+1 failed budgets (in either writer), 2 configuration error, 3 numerical
+abort. The BOVIRIAL_OUT environment variable supplies the default output
+directory when --out is omitted.
 """
 
 from __future__ import annotations
@@ -447,7 +448,16 @@ def _keep_freed_heap() -> None:
 def _run_one(args: tuple[ScenarioConfig, str]) -> int:
     """Pool entry: run one loaded config into its output directory, the
     rows written in this worker."""
-    return run_scenario(*args, _write_rows)
+    return run_scenario(*args, _write_here)
+
+
+def _write_here(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
+    """_write_rows in this process, a failure raised as _BudgetsFailed like
+    _write_piped's, so that it fails its own config only."""
+    try:
+        return _write_rows(path, records, cfg)
+    except Exception:
+        raise _BudgetsFailed(traceback.format_exc()) from None
 
 
 def _load(path: str):
@@ -625,11 +635,9 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
         raise ConfigError("need at least one lambda value")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    # a grid on which a corpus entry samples to zero, or a lambda whose weight
-    # vanishes wherever an entry does not, is bad input too: no report is written
+    # a grid on which a corpus entry samples to zero, or a lambda outside the
+    # harness's [L/n, L/2], is bad input too: no report is written
     try:
-        for lam in lams:
-            _positive(lam, "lambda")
         with np.errstate(over="ignore", invalid="ignore"):
             corpus = build_corpus(make_grid(grid_n, grid_length), seed=seed)
             reports = lemma_table(corpus, lams)
@@ -727,7 +735,7 @@ def main(argv=None) -> int:
             if args.jobs > 1 and len(args.config) > 1:
                 # workers load too: random initial data imports numpy.random
                 # (about 6 MB resident), which the parent then never holds
-                with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.config))) as pool:
                     codes, tasks = _load_runs(args.config, out_dir, pool.map)
                     codes += pool.map(_run_one, tasks)
             else:

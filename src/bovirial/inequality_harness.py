@@ -13,8 +13,8 @@ Every formula is written once, as a private kernel, and lemma_table runs
 the kernels in three stages: once per entry (f_x, H f_x and D^{1/2}f from
 one rfft), once per window scale (phi, phi' and ||(phi')^'||_1), and once
 per pair (only COMM's commutator needs both). run_check is the same
-kernels on one entry and one scale. A zero input field raises
-ValueError under every check.
+kernels on one entry and one scale. _window refuses lam outside [L/n, L/2],
+and a zero input field raises ValueError under every check.
 
 The inequalities assert existence of constants, never their values, so the
 strongest desk-scale statement is regression: calibrate() takes the sup
@@ -34,7 +34,7 @@ from .spectral_core import (
     Grid,
     _band_limited,
     _inverse,
-    _same_grid,
+    _positive,
     fourier_l1_deriv,
     l2_norm,
 )
@@ -79,6 +79,8 @@ class Corpus:
             raise ValueError("corpus entries and labels must pair up")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("corpus labels must be unique")
+        if len({(f.grid.n, f.grid.length) for f in self.entries}) > 1:
+            raise ValueError("corpus entries must share one grid (n, L)")
 
 
 def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
@@ -157,26 +159,27 @@ class _Window:
 
 
 def _window(grid: Grid, lam: float) -> _Window:
+    if not grid.spacing <= _positive(lam, "lam") <= grid.length / 2.0:
+        raise ValueError(f"window scale lam = {lam:g} is outside [L/n, L/2] = "
+                         f"[{grid.spacing:g}, {grid.length / 2.0:g}] for this grid")
     wp = window_prime(grid, lam)
     return _Window(float(lam), phi(grid.coords / lam), wp, fourier_l1_deriv(wp))
 
 
 def _quad(e: _Entry, w: _Window) -> float:
     """(1/lam) int f^2 phi'(x/lam): the right side KM1 and KM2 share and KEY
-    scales. Zero means that no check can be taken: a zero input field, or a
-    weight so narrow (tiny lam) that it vanishes wherever f does not."""
-    g = _same_grid(e.f, w.wp)
-    quad = float(g.spacing * np.sum(w.wp.samples * e.f.samples ** 2)) / w.lam
+    scales. _window's rule keeps the weight positive on every sample, so it
+    is zero only for a zero input field, on which no check can be taken."""
+    quad = float(e.f.grid.spacing * np.sum(w.wp.samples * e.f.samples ** 2)) / w.lam
     if quad == 0.0:
-        raise ValueError(f"zero input field, or a weight phi'(x/lam) that vanishes wherever "
-                         f"the field does not (int f^2 phi'(x/lam) = 0 at lam = {w.lam:g})")
+        raise ValueError(f"zero input field (int f^2 phi'(x/lam) = 0 at lam = {w.lam:g})")
     return quad
 
 
 def _commutator(phi_w: Field, u: Field, du: Field) -> Field:
     """D^{1/2}(D^{1/2}(phi_w u) - phi_w du) for du = D^{1/2}u, both products
     truncated by the 2/3 rule, as one composite: two rfft and one irfft."""
-    g = _same_grid(phi_w, u)
+    g = u.grid
     a = np.fft.rfft(phi_w.samples * u.samples)
     b = np.fft.rfft(phi_w.samples * du.samples)
     half, keep = g._half_sym, g._dealias_sym
@@ -195,12 +198,9 @@ def _km2(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
 
 
 def _comm(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
-    """A weight that is constant on the grid (lam far above the box) commutes
-    exactly: rhs_unit is 0, lhs is at rounding level, and the ratio reads 0."""
     lhs = l2_norm(_commutator(w.wp, e.f, e.half))
     rhs_unit = w.wp_l1 * l2_norm(e.f)
-    return LemmaReport("COMM", w.lam, lhs, rhs_unit, lhs / rhs_unit if rhs_unit > 0.0 else 0.0,
-                       input_id)
+    return LemmaReport("COMM", w.lam, lhs, rhs_unit, lhs / rhs_unit, input_id)
 
 
 def _key(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:

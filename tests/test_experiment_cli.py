@@ -308,32 +308,86 @@ gaussian.width = 2.0
         assert [r["energy_residual"] is None for r in rows] == [True, False, False, True, True]
 
     def test_budgets_process_failure_exits_1_and_keeps_rows(self, tmp_path, monkeypatch,
-                                                             capsys):
+                                                             capfd):
+        # serially the budgets run in a second process per config
+        self.check_budgets_failure(tmp_path, monkeypatch, capfd, "1")
+
+    def test_pool_worker_budgets_failure_exits_1_and_keeps_rows(self, tmp_path, monkeypatch,
+                                                                capfd):
+        # under --jobs 2 they run in the pool worker of each config
+        self.check_budgets_failure(tmp_path, monkeypatch, capfd, "2")
+
+    @staticmethod
+    def check_budgets_failure(tmp_path, monkeypatch, capfd, jobs):
+        """Only the failing config fails: it exits 1, names its CSV, which
+        keeps its rows, and gets no manifest, while the other config runs to
+        its end. capfd, not capsys, reads a pool worker's stderr."""
         text = SOLITON_CFG.replace("solver.t_end = 12.0", "solver.t_end = 2.5")
         cfg = write_cfg(tmp_path, text.replace("solver.record_every = 200",
                                                "solver.record_every = 1"))
+        other = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG + "weight.c_scale = 2\n", "other.cfg")
         ref, out = str(tmp_path / "ref"), str(tmp_path / "out")
-        assert main(["run", "--config", cfg, "--out", ref]) == 0
+        assert main(["run", "--config", cfg, "--config", other, "--out", ref]) == 0
         budgets, calls = experiment_cli.budgets, []
 
         def failing(*args):
-            # runs in the budgets process, which counts its own calls
-            calls.append(None)
-            if len(calls) == 3:
-                raise RuntimeError("injected budgets failure")
+            # runs where the budgets are computed, which counts its own calls
+            # of the soliton config (window scale factor 1)
+            if args[-1].c_scale == 1.0:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("injected budgets failure")
             return budgets(*args)
 
         monkeypatch.setattr(experiment_cli, "budgets", failing)
-        assert main(["run", "--config", cfg, "--out", out]) == 1
+        assert main(["run", "--config", cfg, "--config", other, "--out", out,
+                     "--jobs", jobs]) == 1
         assert multiprocessing.active_children() == []
-        err = capsys.readouterr().err
-        assert "budgets process failed" in err and "injected budgets failure" in err
+        err = capfd.readouterr().err
+        assert err.count("budgets process failed") == 1 and "injected budgets failure" in err
+        assert os.path.join(out, "wave.csv") in err
         # rows 0 (no budgets), 1 and 2 were written before the third call raised
         with open(os.path.join(ref, "wave.csv")) as fh:
             want = fh.read().splitlines()[:4]
         with open(os.path.join(out, "wave.csv")) as fh:
             assert fh.read().splitlines() == want
         assert not os.path.exists(os.path.join(out, "wave.manifest.json"))
+        # the other config completes, with the same bytes as without the failure
+        assert open(os.path.join(out, "uneven.csv"), "rb").read() == \
+            open(os.path.join(ref, "uneven.csv"), "rb").read()
+        with open(os.path.join(out, "uneven.manifest.json")) as fh:
+            assert json.load(fh)["status"] == "completed"
+
+    @pytest.mark.parametrize("jobs, configs", [(8, 2), (2, 3)])
+    def test_pool_starts_one_worker_per_config_at_most_jobs(self, tmp_path, monkeypatch,
+                                                            jobs, configs):
+        sizes = []
+
+        class InProcessPool:
+            """ProcessPoolExecutor's surface that run uses, starting no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiment_cli, "ProcessPoolExecutor", InProcessPool)
+        args = []
+        for i in range(configs):
+            text = GAUSSIAN_UNEVEN_CFG.replace("uneven", f"g{i}")
+            args += ["--config", write_cfg(tmp_path, text, f"g{i}.cfg")]
+        out = str(tmp_path / "out")
+        assert main(["run", *args, "--jobs", str(jobs), "--out", out]) == 0
+        assert sizes == [min(jobs, configs)]
+        assert sorted(os.listdir(out)) == sorted(
+            f"g{i}.{ext}" for i in range(configs) for ext in ("csv", "manifest.json"))
 
     def test_writer_holds_at_most_three_states(self, tmp_path):
         text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
@@ -612,14 +666,32 @@ class TestCheckLemmas:
 
     def test_weight_that_misses_every_entry_sample_exits_2(self, tmp_path, capsys):
         # at lam = 1e-300 phi'(x/lam) is non-zero only at x = 0, where gauss2
-        # underflows to 0: the field is not zero, the weighted quadrature is
+        # underflows to 0; the scale is below the spacing L/n = 1.5625
         out = tmp_path / "lem"
         assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",
                      "--lambdas", "1e-300", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: zero input field, or a weight")
-        assert "lam = 1e-300" in err
-        assert not (out / "lemma_summary.json").exists()
+        assert err == "error: window scale lam = 1e-300 is outside [L/n, L/2] = " \
+                      "[1.5625, 200] for this grid\n"
+        assert not out.exists()
+
+    def test_weight_flat_on_the_grid_exits_2(self, tmp_path, capsys):
+        # at lam = 1e300 phi'(x/lam) is 1 on every sample, and the ratios
+        # were meaningless (sup KM1 7.97e299); the scale is above L/2 = 200
+        out = tmp_path / "lem"
+        assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",
+                     "--lambdas", "5,1e300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: window scale lam = 1e+300 is outside [L/n, L/2] = " \
+                      "[1.5625, 200] for this grid\n"
+        assert not out.exists()
+
+    def test_scales_at_the_bounds_run(self, tmp_path):
+        out = tmp_path / "lem"
+        assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",
+                     "--lambdas", "1.5625,200", "--out", str(out)]) == 0
+        summary = json.load(open(out / "lemma_summary.json"))
+        assert summary["lambdas"] == [1.5625, 200.0]
 
     @pytest.mark.parametrize("args", [["--seed", "-1"],
                                       ["--grid-n", "64", "--grid-length", "1e308"]],

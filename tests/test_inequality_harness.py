@@ -64,6 +64,15 @@ class TestCorpus:
         with pytest.raises(ValueError):
             Corpus(entries=(f, f), labels=("a", "a"))
 
+    def test_rejects_entries_of_two_grids(self, grid_small):
+        # one (n, L) per corpus, so every window fits every entry; a second
+        # Grid object of the same (n, L) is the same grid
+        same = bv.make_grid(grid_small.n, grid_small.length)
+        Corpus(entries=(zeros(grid_small), zeros(same)), labels=("a", "b"))
+        for other in (bv.make_grid(512, 400.0), bv.make_grid(1024, 200.0)):
+            with pytest.raises(ValueError, match="share one grid"):
+                Corpus(entries=(zeros(grid_small), zeros(other)), labels=("a", "b"))
+
 
 class TestCommutator:
     def test_zero_field_gives_zero(self, grid_small):
@@ -136,11 +145,27 @@ class TestChecks:
             assert run_check("KM2", f, 5.0).lhs == pytest.approx(abs(raw), rel=1e-12)
         assert min(raws) < 0.0 < max(raws)
 
-    def test_comm_degenerate_weight_reports_zero(self, corpus):
+    def test_comm_rejects_a_weight_flat_on_the_grid(self, corpus):
         # at lam = 1e300 the weight phi'(x/lam) is 1 on every grid point, so
-        # it commutes exactly and ||(phi')^'||_1 = 0
-        rep = run_check("COMM", corpus.entries[0], 1e300)
-        assert rep.rhs_unit == rep.ratio == 0.0
+        # ||(phi')^'||_1 = 0 and COMM had no ratio; the scale is above L/2
+        with pytest.raises(ValueError, match=r"lam = 1e\+300 is outside \[L/n, L/2\] = "
+                                             r"\[0\.390625, 200\]"):
+            run_check("COMM", corpus.entries[0], 1e300)
+
+    @pytest.mark.parametrize("lam", [1e-300, 0.39, 200.5, 1e300])
+    def test_scale_outside_the_grid_rejected_by_every_check(self, corpus, lam):
+        # (1024, 400) resolves window scales from L/n = 0.390625 to L/2 = 200
+        for tag in TAGS:
+            with pytest.raises(ValueError, match=r"is outside \[L/n, L/2\]"):
+                run_check(tag, corpus.entries[0], lam)
+        with pytest.raises(ValueError, match=r"is outside \[L/n, L/2\]"):
+            lemma_table(corpus, [1.0, lam])
+
+    def test_scales_at_the_bounds_accepted(self, grid_small, corpus):
+        sub = Corpus(corpus.entries[:4] + corpus.entries[20:24],
+                     corpus.labels[:4] + corpus.labels[20:24])
+        for rep in lemma_table(sub, [grid_small.spacing, grid_small.length / 2.0]):
+            assert rep.rhs_unit > 0.0 and np.isfinite(rep.ratio), rep
 
     def test_key_scale_invariance_exact(self, corpus):
         u = corpus.entries[4]
