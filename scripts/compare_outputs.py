@@ -8,8 +8,8 @@ temporary directory:
 
   * `run` on the three stock configs in `scripts/` (taken from this tree,
     so only the program differs), once serially into `run/` and once with
-    `--jobs 2` into `run_jobs2/`: a serial run streams its records to a
-    second process for the budgets, a pool worker writes them itself;
+    `--jobs 2` into `run_jobs2/`: configs run one at a time, or two at
+    once in a pool, each streaming its records to a budgets process;
   * `run` on two gaussian configs that blow up (written by this script
     into the temporary directory), serially into `aborted/` and with
     `--jobs 2` into `aborted_jobs2/`, each run expected to exit 3: at
@@ -23,8 +23,8 @@ temporary directory:
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. Each file of
 this tree's `run_jobs2/` and `aborted_jobs2/` is also compared with the
-reference's `run/` and `aborted/`, so both ways of writing the records
-answer to the reference. A command that exits with another code than the
+reference's `run/` and `aborted/`, so pooled scheduling answers to the
+reference's serial one. A command that exits with another code than the
 one expected stops the script with its stderr. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute

@@ -14,10 +14,10 @@ Config files are flat `key = value` text with dotted keys and '#'
 comments. Records are CSV with a fixed column order and floats written in
 shortest round-trip form, so identical configs produce byte-identical
 files. Rows are written and flushed as the run goes, from a window of
-three states; a run of one config at a time computes the budgets in a
-second process fed over a pipe, while a pool worker of `run --jobs N`
-(one per config, at most N) writes its rows itself. Exit codes: 0 success,
-1 failed budgets (in either writer), 2 configuration error, 3 numerical
+three states, by a second process that computes the budgets from records
+fed over a pipe; every config runs this way, whether alone or, under
+`run --jobs N`, in a pool worker (one per config, at most N). Exit codes:
+0 success, 1 failed budgets process, 2 configuration error, 3 numerical
 abort. The BOVIRIAL_OUT environment variable supplies the default output
 directory when --out is omitted.
 """
@@ -386,11 +386,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str, write) -> int:
-    """Run one config: the records CSV, written as the run goes by `write`
-    (_write_rows, or _write_piped to compute the budgets in a second
-    process), then the manifest. Returns the exit code."""
-    os.makedirs(out_dir, exist_ok=True)
+def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
+    """Run one config into an existing output directory: the records CSV,
+    written as the run goes by _write_piped, then the manifest. Returns the
+    exit code."""
     records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
     manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
     started = _now()
@@ -407,7 +406,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, write) -> int:
             print(f"error: {exc}", file=sys.stderr)
 
     try:
-        rows, cut = write(records_path, records(), cfg)
+        rows, cut = _write_piped(records_path, records(), cfg)
     except _BudgetsFailed as exc:
         print(f"error: budgets process failed; {records_path} keeps the rows written "
               f"so far, and no manifest is written\n{exc}", file=sys.stderr)
@@ -446,34 +445,24 @@ def _keep_freed_heap() -> None:
 
 
 def _run_one(args: tuple[ScenarioConfig, str]) -> int:
-    """Pool entry: run one loaded config into its output directory, the
-    rows written in this worker."""
-    return run_scenario(*args, _write_here)
-
-
-def _write_here(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
-    """_write_rows in this process, a failure raised as _BudgetsFailed like
-    _write_piped's, so that it fails its own config only."""
-    try:
-        return _write_rows(path, records, cfg)
-    except Exception:
-        raise _BudgetsFailed(traceback.format_exc()) from None
+    """Mapped by _run_configs: run one loaded config into its output directory."""
+    return run_scenario(*args)
 
 
 def _load(path: str):
-    """Pool entry: the loaded config, or the ConfigError that rejects it."""
+    """Mapped by _run_configs: the loaded config, or the ConfigError that rejects it."""
     try:
         return load_config(path)
     except ConfigError as exc:
         return exc
 
 
-def _load_runs(paths: list[str], out_dir: str, mapper) -> tuple[list[int], list[tuple]]:
-    """Load every config, through `mapper` (`map` or a pool's), before any
-    run starts: exit codes of the configs that fail to load, and one task
-    per config that loads. Two configs writing the same output prefix are
-    rejected outright, since the later run would overwrite (or, under
-    --jobs, race) the earlier one."""
+def _run_configs(paths: list[str], out_dir: str, mapper) -> int:
+    """Load and then run every config through `mapper` (`map`, or a pool's to
+    run several at once) and return the worst exit code. Every config loads
+    before any run starts, and the output directory is made between the two.
+    Two configs writing the same output prefix are rejected outright, since
+    the later run would overwrite (or, in a pool, race) the earlier one."""
     codes, tasks, owners = [], [], {}
     for path, cfg in zip(paths, mapper(_load, paths)):
         if isinstance(cfg, ConfigError):
@@ -486,7 +475,19 @@ def _load_runs(paths: list[str], out_dir: str, mapper) -> tuple[list[int], list[
                               f"{cfg.out_prefix!r}")
         owners[prefix] = path
         tasks.append((cfg, out_dir))
-    return codes, tasks
+    if tasks:
+        _make_out_dir(out_dir)
+    return max(codes + list(mapper(_run_one, tasks)))
+
+
+def _make_out_dir(path: str) -> None:
+    """Make the output directory and its parents; one that cannot be made
+    is a ConfigError naming the path and the reason."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path!r}: "
+                          f"{exc.strerror}") from None
 
 
 def parse_records(path: str):
@@ -605,7 +606,7 @@ def analyze_records(records_path: str, a: float | None, c_scale: float | None,
     if e_drift > 1e-6:
         flags.append(f"E drift {e_drift:.3e} above 1e-6")
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     summary = {
         "records": len(diags),
         "t_range": [diags[0].t, diags[-1].t],
@@ -644,7 +645,7 @@ def check_lemmas_cmd(seed: int, grid_n: int, grid_length: float, lams, out_dir: 
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     with open(os.path.join(out_dir, "lemma_report.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("input_id,tag,lambda,lhs,rhs_unit,ratio\n")
         for rep in reports:
@@ -703,7 +704,7 @@ def main(argv=None) -> int:
                        help="config file (repeat to fan out several runs)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for multiple configs")
+                       help="how many configs run at once")
 
     p_chk = sub.add_parser("check-lemmas", help="sweep the inequality harness")
     p_chk.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -736,13 +737,8 @@ def main(argv=None) -> int:
                 # workers load too: random initial data imports numpy.random
                 # (about 6 MB resident), which the parent then never holds
                 with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.config))) as pool:
-                    codes, tasks = _load_runs(args.config, out_dir, pool.map)
-                    codes += pool.map(_run_one, tasks)
-            else:
-                # one run at a time, its budgets computed in a second process
-                codes, tasks = _load_runs(args.config, out_dir, map)
-                codes += (run_scenario(*task, _write_piped) for task in tasks)
-            return max(codes)
+                    return _run_configs(args.config, out_dir, pool.map)
+            return _run_configs(args.config, out_dir, map)
         if args.command == "check-lemmas":
             try:
                 lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]

@@ -157,6 +157,20 @@ class TestConfigParsing:
         assert load_config(str(SCRIPTS / f"{name}.cfg")).out_prefix == name
 
 
+def file_in_the_way(tmp_path):
+    """An --out path that is a regular file, so no directory can be made there."""
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    return path
+
+
+def assert_out_refused(capsys, path):
+    """One error line that names the path and the reason; the file is untouched."""
+    err = capsys.readouterr().err
+    assert err == f"error: cannot make output directory {str(path)!r}: File exists\n"
+    assert path.read_text() == "not a directory\n"
+
+
 class TestRun:
     def test_completes_and_writes_both_files(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
@@ -290,8 +304,8 @@ gaussian.width = 2.0
         assert os.path.isfile(os.path.join(out, "wave.csv"))
 
     def test_parallel_fanout_matches_serial(self, tmp_path):
-        # serial runs stream the records to a budgets process, pool workers
-        # write them in-process: both feeders must write the same bytes
+        # serial runs and pool workers both stream the records to a budgets
+        # process: both schedules must write the same bytes
         cfg1 = write_cfg(tmp_path, SOLITON_CFG, "one.cfg")
         cfg2 = write_cfg(
             tmp_path, SOLITON_CFG.replace("wave", "wave2"), "two.cfg")
@@ -309,12 +323,12 @@ gaussian.width = 2.0
 
     def test_budgets_process_failure_exits_1_and_keeps_rows(self, tmp_path, monkeypatch,
                                                              capfd):
-        # serially the budgets run in a second process per config
+        # serially each config streams to a budgets process of its own
         self.check_budgets_failure(tmp_path, monkeypatch, capfd, "1")
 
     def test_pool_worker_budgets_failure_exits_1_and_keeps_rows(self, tmp_path, monkeypatch,
                                                                 capfd):
-        # under --jobs 2 they run in the pool worker of each config
+        # under --jobs 2 each pool worker's config streams to one too
         self.check_budgets_failure(tmp_path, monkeypatch, capfd, "2")
 
     @staticmethod
@@ -357,6 +371,46 @@ gaussian.width = 2.0
             open(os.path.join(ref, "uneven.csv"), "rb").read()
         with open(os.path.join(out, "uneven.manifest.json")) as fh:
             assert json.load(fh)["status"] == "completed"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_no_process_both_integrates_and_computes_budgets(self, tmp_path, monkeypatch,
+                                                              jobs):
+        # every config streams its records to a budgets process, whether it
+        # runs serially or in a pool worker; forked processes inherit the patches
+        def logged(fn, name):
+            def call(*args):
+                with open(tmp_path / name, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(experiment_cli, "iter_trajectory",
+                            logged(experiment_cli.iter_trajectory, "integrate.pids"))
+        monkeypatch.setattr(experiment_cli, "budgets",
+                            logged(experiment_cli.budgets, "budgets.pids"))
+        one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
+        two = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("uneven", "uneven2"), "two.cfg")
+        assert main(["run", "--config", one, "--config", two, "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
+        integrating = (tmp_path / "integrate.pids").read_text().split()
+        budgeting = (tmp_path / "budgets.pids").read_text().split()
+        # one integration per config; 2 budget rows per config, each config's
+        # in a process of its own
+        assert len(integrating) == 2 and len(budgeting) == 4
+        assert len(set(budgeting)) == 2
+        assert set(integrating).isdisjoint(budgeting)
+        # serially this process integrates, in a pool only the workers do
+        assert (str(os.getpid()) in integrating) == (jobs == "1")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_that_is_a_file_exits_2_before_any_run(self, tmp_path, capsys, jobs):
+        one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
+        two = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("uneven", "uneven2"), "two.cfg")
+        out = file_in_the_way(tmp_path)
+        assert main(["run", "--config", one, "--config", two, "--jobs", jobs,
+                     "--out", str(out)]) == 2
+        assert_out_refused(capsys, out)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs, configs", [(8, 2), (2, 3)])
     def test_pool_starts_one_worker_per_config_at_most_jobs(self, tmp_path, monkeypatch,
@@ -624,6 +678,13 @@ class TestAnalyze:
         assert "cannot read" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        rec = tmp_path / "r.csv"
+        synthetic_records(str(rec))
+        out = file_in_the_way(tmp_path)
+        assert main(["analyze", "--records", str(rec), "--out", str(out)]) == 2
+        assert_out_refused(capsys, out)
+
     def test_missing_records_exits_2(self, tmp_path):
         assert main(["analyze", "--records", str(tmp_path / "no.csv"),
                      "--a", "0.0", "--c", "1.0",
@@ -692,6 +753,12 @@ class TestCheckLemmas:
                      "--lambdas", "1.5625,200", "--out", str(out)]) == 0
         summary = json.load(open(out / "lemma_summary.json"))
         assert summary["lambdas"] == [1.5625, 200.0]
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = file_in_the_way(tmp_path)
+        assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",
+                     "--lambdas", "2,5", "--out", str(out)]) == 2
+        assert_out_refused(capsys, out)
 
     @pytest.mark.parametrize("args", [["--seed", "-1"],
                                       ["--grid-n", "64", "--grid-length", "1e308"]],
