@@ -14,7 +14,14 @@ temporary directory:
     into the temporary directory), serially into `aborted/` and with
     `--jobs 2` into `aborted_jobs2/`, each run expected to exit 3: at
     amplitude 300 the diagnostics overflow first and the writer cuts the
-    rows, at amplitude 120 the field does and the integrator stops;
+    rows, at amplitude 120 the field does and the integrator stops. The
+    two share grid and solver settings, so serially they run as one stack
+    and under `--jobs 2` as two stacks of one;
+  * `run` on four random configs that share grid and solver settings
+    (also written by this script), serially into `ensemble/` (one stack
+    of four, or stacks of one config per core run one after another on a
+    machine with fewer than four cores) and with `--jobs 2` into
+    `ensemble_jobs2/` (two stacks of two);
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
@@ -22,10 +29,11 @@ temporary directory:
 
 Every output file is then compared byte for byte. Manifests are compared
 as JSON without their `started` and `finished` timestamps. Each file of
-this tree's `run_jobs2/` and `aborted_jobs2/` is also compared with the
-reference's `run/` and `aborted/`, so pooled scheduling answers to the
-reference's serial one. A command that exits with another code than the
-one expected stops the script with its stderr. The script
+this tree's `run_jobs2/`, `aborted_jobs2/` and `ensemble_jobs2/` is also
+compared with the reference's `run/`, `aborted/` and `ensemble/`, so
+pooled scheduling answers to the reference's serial one. A command that
+exits with another code than the one expected stops the script with its
+stderr. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
@@ -65,22 +73,37 @@ gaussian.amplitude = {amp}
 gaussian.width = 5.0
 output.prefix = blowup_{amp}
 """
-JOBS2 = {"run_jobs2": "run", "aborted_jobs2": "aborted"}  # --jobs 2 output: serial twin
+ENSEMBLE_SEEDS = (11, 12, 13, 14)
+ENSEMBLE = """\
+scenario = random
+grid.n = 512
+grid.length = 100.0
+solver.dt = 0.01
+solver.t0 = 2.0
+solver.t_end = 4.0
+solver.record_every = 10
+random.seed = {seed}
+random.amplitude = 0.5
+output.prefix = ensemble_{seed}
+"""
+# --jobs 2 output: serial twin
+JOBS2 = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ensemble"}
 TIMESTAMPS = ("started", "finished")
 
 
-def _write_blowups(tmp: str) -> list[str]:
-    """`--config` arguments for the blowup configs, written under `tmp`."""
+def _write_configs(tmp: str, template: str, key: str, items) -> list[str]:
+    """`--config` arguments for `template` with `key` set to each of `items`,
+    written under `tmp`."""
     args = []
-    for amp in BLOWUP_AMPLITUDES:
-        path = os.path.join(tmp, f"blowup_{amp}.cfg")
+    for item in items:
+        path = os.path.join(tmp, f"{key}_{item}.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(BLOWUP.format(amp=amp))
+            fh.write(template.format(**{key: item}))
         args += ["--config", path]
     return args
 
 
-def _produce(tree: str, out: str, blowups: list[str]) -> None:
+def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str]) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
     env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
@@ -93,6 +116,9 @@ def _produce(tree: str, out: str, blowups: list[str]) -> None:
                        (["run", *blowups, "--out", os.path.join(out, "aborted")], 3),
                        (["run", *blowups, "--jobs", "2", "--out",
                          os.path.join(out, "aborted_jobs2")], 3),
+                       (["run", *ensemble, "--out", os.path.join(out, "ensemble")], 0),
+                       (["run", *ensemble, "--jobs", "2", "--out",
+                         os.path.join(out, "ensemble_jobs2")], 0),
                        (["check-lemmas", "--out", os.path.join(out, "lemmas")], 0),
                        (["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                          "--out", os.path.join(out, "analyze")], 0)):
@@ -197,10 +223,11 @@ def main(argv: list[str]) -> int:
     ref_tree = os.path.abspath(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
         ref_out, new_out = os.path.join(tmp, "ref"), os.path.join(tmp, "new")
-        blowups = _write_blowups(tmp)
+        blowups = _write_configs(tmp, BLOWUP, "amp", BLOWUP_AMPLITUDES)
+        ensemble = _write_configs(tmp, ENSEMBLE, "seed", ENSEMBLE_SEEDS)
         for tree, out in ((ref_tree, ref_out), (HERE, new_out)):
             os.makedirs(out)
-            _produce(tree, out, blowups)
+            _produce(tree, out, blowups, ensemble)
         ref_files, new_files = _files(ref_out), _files(new_out)
         pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
         for rel in sorted(new_files):

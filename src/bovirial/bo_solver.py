@@ -7,7 +7,8 @@ only ever sees the quadratic flux. The flux is dealiased by the 2/3 rule;
 both symbols are the grid's own, and the budget diagnostics call the same
 `_flux`, so closure checks see exactly the solver's nonlinearity.
 `iter_trajectory` yields the recorded states one at a time and keeps none
-of them; `run_trajectory` collects them in a list.
+of them, and `run_trajectory` collects them in a list; `_iter_stack`
+integrates a stack of fields on one grid that share a step and a span.
 
 Solitary waves: the profile A/(1 + B^2 (x - x0)^2) travels at speed s
 when H Q' + Q^2 = s Q. Under the sign conventions above that identity is
@@ -111,7 +112,11 @@ def _flux(w: np.ndarray, grid: Grid) -> np.ndarray:
 class _Plan:
     """The exact linear propagators exp(-D dt/2) and exp(-D dt) of one
     (grid, dt) choice, D the grid's dispersion symbol (i xi|xi| off Nyquist,
-    0 at Nyquist, where both propagators are therefore 1)."""
+    0 at Nyquist, where both propagators are therefore 1).
+
+    `flux` and `advance` work along the last axis, so a (B, n/2+1) stack
+    of half spectra advances as B independent rows, each bit for bit as it
+    would alone."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
@@ -149,12 +154,34 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
     only a few bounds the memory of any length of run. Non-finite samples
     raise BlowupError.
     """
-    g = u0.grid
+    records = _iter_stack([u0], cfg)
+    del u0
+    for (st,) in records:
+        if isinstance(st, BlowupError):
+            raise st
+        yield st
+        del st
+
+
+def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
+    """`iter_trajectory` for a stack of fields on one grid: their half
+    spectra advance as one (B, n/2+1) array, each row bit for bit as it
+    would alone, and each record is a list of B entries, one per member.
+    A member's entry is its TrajectoryState, or its BlowupError at the
+    record where its samples stop being finite; the member then leaves the
+    stack and its later entries are None. A lone field keeps a 1-D
+    spectrum, since a stack of one steps 3-5% slower.
+    """
+    g = fields[0].grid
+    if any((f.grid.n, f.grid.length) != (g.n, g.length) for f in fields):
+        raise ValueError("fields live on different grids")
     check_stability(cfg, g)
     plan = _Plan(g, cfg.dt)
-    vh = np.fft.rfft(u0.samples)
-    yield TrajectoryState(u0, cfg.t0)
-    del u0
+    size = len(fields)
+    vh = np.fft.rfft(fields[0].samples if size == 1 else np.array([f.samples for f in fields]))
+    yield [TrajectoryState(f, cfg.t0) for f in fields]
+    del fields
+    members = list(range(size))  # the member each row of vh holds
     done = 0
     for k in itertools.chain(range(cfg.record_every, cfg.n_steps, cfg.record_every),
                              (cfg.n_steps,)):
@@ -162,7 +189,22 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
             for _ in range(k - done):
                 vh = plan.advance(vh)
         done = k
-        yield _state(g, vh, cfg.t0 + k * cfg.dt, k)
+        t = cfg.t0 + k * cfg.dt
+        rows = vh.reshape(len(members), -1)  # a view, also of a 1-D spectrum
+        states = [None] * size
+        for row, m in enumerate(members):
+            try:
+                states[m] = _state(g, rows[row], t, k)
+            except BlowupError as exc:
+                states[m] = exc
+        kept = [row for row, m in enumerate(members) if isinstance(states[m], TrajectoryState)]
+        if len(kept) < len(members):
+            vh, members = rows[kept], [members[row] for row in kept]
+        del rows
+        yield states
+        del states
+        if not members:
+            return
 
 
 def _state(g: Grid, vh: np.ndarray, t: float, step: int) -> TrajectoryState:

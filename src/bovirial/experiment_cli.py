@@ -15,8 +15,13 @@ comments. Records are CSV with a fixed column order and floats written in
 shortest round-trip form, so identical configs produce byte-identical
 files. Rows are written and flushed as the run goes, from a window of
 three states, by a second process that computes the budgets from records
-fed over a pipe; every config runs this way, whether alone or, under
-`run --jobs N`, in a pool worker (one per config, at most N). Exit codes:
+fed over a pipe, one such process per config. Configs that share grid
+and solver settings (dt, t0, t_end, record_every) are integrated together
+as one stacked spectrum: `run` deals each such group round robin into
+min(N, group size) stacks, N from `--jobs` (default 1), or into more so
+that no stack holds more configs than there are cores. Serially the
+stacks run one after another; with N above 1 a pool runs them, at most N
+at once. Exit codes:
 0 success, 1 failed budgets process, 2 configuration error, 3 numerical
 abort. The BOVIRIAL_OUT environment variable supplies the default output
 directory when --out is omitted.
@@ -43,8 +48,8 @@ from .bo_solver import (
     BlowupError,
     SolverConfig,
     TrajectoryState,
+    _iter_stack,
     check_stability,
-    iter_trajectory,
     l1_growth_fit,
     profile_residual,
     soliton,
@@ -175,6 +180,11 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
             vals[key] = default(vals) if callable(default) else default
     params = {key.partition(".")[2]: v for key, v in vals.items()
               if key.startswith(scenario + ".")}
+    # the prefix names files inside --out: a directory part would fail in the
+    # budgets process, or write outside --out
+    if os.path.dirname(vals["output.prefix"]):
+        raise ConfigError(f"output.prefix must be a file name without a directory part, "
+                          f"got {vals['output.prefix']!r}")
 
     try:
         grid = make_grid(vals["grid.n"], vals["grid.length"])
@@ -315,50 +325,103 @@ def _write_rows(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | N
     return rows, cut
 
 
-class _BudgetsFailed(RuntimeError):
-    """The budgets process raised; the message is its traceback."""
+class _Stream:
+    """One config's run, streamed to a budgets process of its own that runs
+    _write_rows on the records, so this process integrates and computes the
+    record cells while the other computes the budgets and writes the rows.
+    Each record crosses the pipe as the bytes t | samples | record cells
+    (empty where not finite); an empty message ends the stream. `finish`
+    collects the budgets process's result, writes the manifest and returns
+    the exit code."""
 
+    def __init__(self, cfg: ScenarioConfig, out_dir: str, others: list):
+        """Start the budgets process. `others` are the sending ends of the
+        streams started before this one, which the budgets process closes."""
+        self.cfg = cfg
+        self.records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
+        self.manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
+        self.started = _now()
+        self.status = "completed"
+        self.open = True
+        # forked, it starts from this process's memory, where a spawned process
+        # would import numpy and the package again
+        fork = multiprocessing.get_context("fork")
+        self.conn, child_conn = fork.Pipe()
+        self.consumer = fork.Process(target=_consume, args=(
+            child_conn, self.records_path, cfg, others + [self.conn]))
+        self.consumer.start()
+        child_conn.close()
 
-def _write_piped(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
-    """_write_rows run in a second process, fed from this one: this process
-    integrates and computes the record cells while the other computes the
-    budgets, so the two overlap. Each record crosses the pipe as the bytes
-    t | samples | record cells (empty where not finite); an empty message
-    ends the stream. A failure of the budgets process raises _BudgetsFailed."""
-    # forked, it starts from this process's memory, where a spawned process
-    # would import numpy and the package again
-    fork = multiprocessing.get_context("fork")
-    conn, child_conn = fork.Pipe()
-    consumer = fork.Process(target=_consume, args=(child_conn, path, cfg))
-    consumer.start()
-    child_conn.close()
-    try:
+    def send(self, st: TrajectoryState | BlowupError) -> None:
+        """Stream one recorded state. The stream ends at a BlowupError, after
+        a state whose record cells are not finite, or once the budgets
+        process stops reading."""
+        if isinstance(st, BlowupError):
+            self.status = "aborted"
+            print(f"error: {self.records_path}: {st}", file=sys.stderr)
+            self.end()
+            return
+        cells = _cells(_record_values, st.u, st.t, self.cfg.weight)
         try:
-            for st, cells in records:
-                conn.send_bytes(np.append(st.t, st.u.samples).tobytes()
-                                + (cells or "").encode())
-                if cells is None:
-                    break
-                del st  # hold no sent state while the next is integrated
-            conn.send_bytes(b"")
+            self.conn.send_bytes(np.append(st.t, st.u.samples).tobytes()
+                                 + (cells or "").encode())
         except ConnectionError:
-            pass  # the budgets process stopped reading: it says why below
+            self.open = False  # the budgets process stopped reading: finish says why
+        if cells is None:
+            self.end()
+
+    def end(self) -> None:
+        """Send the empty message that ends the stream, unless it has ended."""
+        if self.open:
+            self.open = False
+            try:
+                self.conn.send_bytes(b"")
+            except ConnectionError:
+                pass
+
+    def finish(self) -> int:
+        """End the stream, wait for the budgets process and write the manifest."""
+        self.end()
         try:
-            result = conn.recv()
+            result = self.conn.recv()
         except (EOFError, ConnectionError):
             result = None
-    finally:
-        conn.close()
-        consumer.join()
-    if not isinstance(result, tuple):
-        raise _BudgetsFailed(result or f"it exited with code {consumer.exitcode}")
-    return result
+        self.close()
+        if not isinstance(result, tuple):
+            print(f"error: budgets process failed; {self.records_path} keeps the rows "
+                  f"written so far, and no manifest is written\n"
+                  f"{result or f'it exited with code {self.consumer.exitcode}'}",
+                  file=sys.stderr)
+            return 1
+        rows, cut = result
+        if cut is not None:
+            self.status = "aborted"
+            print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
+                  f"records stop after {rows} states", file=sys.stderr)
+        _write_json(self.manifest_path, {
+            "config": self.cfg.raw,
+            "version": __version__,
+            "started": self.started,
+            "finished": _now(),
+            "records": rows,
+            "status": self.status,
+        })
+        return 0 if self.status == "completed" else 3
+
+    def close(self) -> None:
+        """Close the pipe and wait for the budgets process, which reads the
+        close as the end of an unfinished stream."""
+        self.conn.close()
+        self.consumer.join()
 
 
-def _consume(conn, path: str, cfg: ScenarioConfig) -> None:
-    """The budgets process: write the rows of the records `_write_piped`
-    sends, then send back _write_rows' result, or the traceback if it
-    raised. It ends without a word when the sender closes the pipe early."""
+def _consume(conn, path: str, cfg: ScenarioConfig, senders: list) -> None:
+    """The budgets process: write the rows of the records a _Stream sends,
+    then send back _write_rows' result, or the traceback if it raised. It
+    ends without a word when the sender closes the pipe early; for it to see
+    that close, it first closes the sending ends it was forked holding."""
+    for sender in senders:
+        sender.close()
     try:
         result = _write_rows(path, _received(conn, cfg.grid), cfg)
     except EOFError:
@@ -369,7 +432,7 @@ def _consume(conn, path: str, cfg: ScenarioConfig) -> None:
 
 
 def _received(conn, grid: Grid):
-    """The (state, record cells) pairs `_write_piped` sends, up to its empty message."""
+    """The (state, record cells) pairs a _Stream sends, up to its empty message."""
     while message := conn.recv_bytes():
         values = np.frombuffer(message, np.float64, grid.n + 1)
         cells = message[values.nbytes:].decode() or None
@@ -384,47 +447,6 @@ def _write_json(path: str, obj) -> None:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def run_scenario(cfg: ScenarioConfig, out_dir: str) -> int:
-    """Run one config into an existing output directory: the records CSV,
-    written as the run goes by _write_piped, then the manifest. Returns the
-    exit code."""
-    records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
-    manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
-    started = _now()
-    status = "completed"
-
-    def records():
-        nonlocal status
-        try:
-            for st in iter_trajectory(initial_condition(cfg), cfg.solver):
-                yield st, _cells(_record_values, st.u, st.t, cfg.weight)
-                del st  # hold no yielded state while the next is integrated
-        except BlowupError as exc:
-            status = "aborted"
-            print(f"error: {exc}", file=sys.stderr)
-
-    try:
-        rows, cut = _write_piped(records_path, records(), cfg)
-    except _BudgetsFailed as exc:
-        print(f"error: budgets process failed; {records_path} keeps the rows written "
-              f"so far, and no manifest is written\n{exc}", file=sys.stderr)
-        return 1
-    if cut is not None:
-        status = "aborted"
-        print(f"error: diagnostics not finite at t={cut:g}; records stop after {rows} states",
-              file=sys.stderr)
-    manifest = {
-        "config": cfg.raw,
-        "version": __version__,
-        "started": started,
-        "finished": _now(),
-        "records": rows,
-        "status": status,
-    }
-    _write_json(manifest_path, manifest)
-    return 0 if status == "completed" else 3
 
 
 def _keep_freed_heap() -> None:
@@ -444,9 +466,41 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD, glibc's largest on 64-bit
 
 
-def _run_one(args: tuple[ScenarioConfig, str]) -> int:
-    """Mapped by _run_configs: run one loaded config into its output directory."""
-    return run_scenario(*args)
+def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
+    """Run a stack of configs that share grid and solver settings into an
+    existing output directory, and return their exit codes. The stack
+    integrates as one (B, n/2+1) half spectrum, a lone config as a 1-D one.
+    Each config streams to its own budgets process, which writes its
+    records CSV as the run goes, then gets its manifest; it ends alone, on
+    a blowup, on record cells that are not finite or on a failed budgets
+    process, while the others run on."""
+    streams: list[_Stream] = []
+    try:
+        for cfg in cfgs:
+            streams.append(_Stream(cfg, out_dir, [s.conn for s in streams]))
+        records = _iter_stack([initial_condition(cfg) for cfg in cfgs], cfgs[0].solver)
+        for states in records:
+            for stream, st in zip(streams, states):
+                if stream.open:
+                    stream.send(st)
+            del states, st  # hold no sent state while the next is integrated
+            if not any(stream.open for stream in streams):
+                break
+        return [stream.finish() for stream in streams]
+    finally:
+        for stream in streams:
+            stream.close()
+
+
+def _run_one(task: tuple[list[ScenarioConfig], str]) -> list[int]:
+    """Mapped by _run_configs: run_scenario on one (stack, output directory)."""
+    return run_scenario(*task)
+
+
+# the most configs one stack holds, one per core: each has a budgets process,
+# and a pipe end and a process sentinel open here, for as long as its stack
+# runs, so a sweep of hundreds of configs must not become one stack
+_STACK_MAX = os.cpu_count() or 1
 
 
 def _load(path: str):
@@ -457,27 +511,36 @@ def _load(path: str):
         return exc
 
 
-def _run_configs(paths: list[str], out_dir: str, mapper) -> int:
+def _run_configs(paths: list[str], out_dir: str, mapper, jobs: int) -> int:
     """Load and then run every config through `mapper` (`map`, or a pool's to
     run several at once) and return the worst exit code. Every config loads
     before any run starts, and the output directory is made between the two.
-    Two configs writing the same output prefix are rejected outright, since
-    the later run would overwrite (or, in a pool, race) the earlier one."""
-    codes, tasks, owners = [], [], {}
+    Configs that share grid and solver settings (dt, t0, t_end,
+    record_every) form a group, dealt round robin into min(jobs, group size)
+    stacks, or into more where that would put over _STACK_MAX configs in
+    one, each run by one `_run_one`. Two
+    configs writing the same output prefix are rejected outright, since the
+    later run would overwrite (or race) the earlier one."""
+    codes, groups, owners = [], {}, {}
     for path, cfg in zip(paths, mapper(_load, paths)):
         if isinstance(cfg, ConfigError):
             print(f"error: {path}: {cfg}", file=sys.stderr)
             codes.append(2)
             continue
-        prefix = os.path.normpath(cfg.out_prefix)
-        if prefix in owners:
-            raise ConfigError(f"{owners[prefix]} and {path} both write output prefix "
+        if cfg.out_prefix in owners:
+            raise ConfigError(f"{owners[cfg.out_prefix]} and {path} both write output prefix "
                               f"{cfg.out_prefix!r}")
-        owners[prefix] = path
-        tasks.append((cfg, out_dir))
-    if tasks:
+        owners[cfg.out_prefix] = path
+        groups.setdefault((cfg.grid.n, cfg.grid.length, cfg.solver), []).append(cfg)
+    stacks = []
+    for group in groups.values():
+        k = max(min(jobs, len(group)), -(-len(group) // _STACK_MAX))
+        stacks += [(group[i::k], out_dir) for i in range(k)]
+    if stacks:
         _make_out_dir(out_dir)
-    return max(codes + list(mapper(_run_one, tasks)))
+    for stack_codes in mapper(_run_one, stacks):
+        codes += stack_codes
+    return max(codes)
 
 
 def _make_out_dir(path: str) -> None:
@@ -704,7 +767,10 @@ def main(argv=None) -> int:
                        help="config file (repeat to fan out several runs)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="how many configs run at once")
+                       help="how many processes integrate at once; configs that share "
+                            "grid and solver settings are split into up to this many stacks "
+                            "(more if a stack would exceed one config per core), each "
+                            "integrated as one")
 
     p_chk = sub.add_parser("check-lemmas", help="sweep the inequality harness")
     p_chk.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -737,8 +803,8 @@ def main(argv=None) -> int:
                 # workers load too: random initial data imports numpy.random
                 # (about 6 MB resident), which the parent then never holds
                 with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.config))) as pool:
-                    return _run_configs(args.config, out_dir, pool.map)
-            return _run_configs(args.config, out_dir, map)
+                    return _run_configs(args.config, out_dir, pool.map, args.jobs)
+            return _run_configs(args.config, out_dir, map, 1)
         if args.command == "check-lemmas":
             try:
                 lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]

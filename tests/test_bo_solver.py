@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bovirial as bv
-from bovirial.bo_solver import BlowupError, SolitonParams, _Plan, _relative_residual
+from bovirial.bo_solver import BlowupError, SolitonParams, _iter_stack, _Plan, _relative_residual
 from bovirial.spectral_core import Field
 
 
@@ -174,6 +174,51 @@ class TestTrajectory:
             bv.run_trajectory(u0, cfg)
         assert err.value.t > 2.0
         assert err.value.step >= 1
+
+
+class TestStack:
+    def test_stacked_advance_matches_rows_bit_for_bit(self, grid_small):
+        plan = _Plan(grid_small, 0.01)
+        rows = [np.fft.rfft(gaussian(grid_small, a, w, c).samples)
+                for a, w, c in ((0.5, 4.0, 0.0), (-1.0, 2.0, 30.0), (2.0, 8.0, -50.0))]
+        stack = np.array(rows)
+        for _ in range(200):
+            stack = plan.advance(stack)
+            rows = [plan.advance(vh) for vh in rows]
+        assert stack.shape == (3, grid_small.n // 2 + 1)
+        assert all(np.array_equal(stack[i], rows[i]) for i in range(3))
+
+    def test_stack_records_match_lone_runs(self, grid_small):
+        # the middle member blows up and leaves the stack; the others run on,
+        # each record bit for bit the one its lone run makes
+        fields = [gaussian(grid_small, 0.5, 4.0), gaussian(grid_small, 1e120, 2.0),
+                  gaussian(grid_small, -0.3, 6.0, 20.0)]
+        cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.1, record_every=10)
+        records = list(_iter_stack(fields, cfg))
+        assert len(records) == 11 and all(len(r) == 3 for r in records)
+        for i in (0, 2):
+            alone = bv.run_trajectory(fields[i], cfg)
+            assert [r[i].t for r in records] == [st.t for st in alone]
+            assert all(np.array_equal(r[i].u.samples, st.u.samples)
+                       for r, st in zip(records, alone))
+        with pytest.raises(BlowupError) as alone:
+            bv.run_trajectory(fields[1], cfg)
+        kinds = [type(r[1]) for r in records]
+        cut = kinds.index(BlowupError)
+        assert kinds == [bv.TrajectoryState] * cut + [BlowupError] + [type(None)] * (10 - cut)
+        assert (records[cut][1].t, records[cut][1].step) == (alone.value.t, alone.value.step)
+
+    def test_stack_ends_when_every_member_has(self, grid_small):
+        fields = [gaussian(grid_small, 1e120, 2.0)] * 2
+        cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=3.0, record_every=10)
+        records = list(_iter_stack(fields, cfg))
+        assert [type(st) for st in records[-1]] == [BlowupError] * 2
+        assert len(records) < 101
+
+    def test_stack_on_two_grids_rejected(self, grid_small, grid_medium):
+        cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.1)
+        with pytest.raises(ValueError, match="different grids"):
+            next(_iter_stack([gaussian(grid_small), gaussian(grid_medium)], cfg))
 
 
 class TestInvariants:

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import warnings
 import weakref
 from pathlib import Path
@@ -60,6 +61,19 @@ gaussian.width = 4.0
 output.prefix = uneven
 """
 
+# scripts/compare_outputs.py's configs that blow up, at amplitudes 300 and 120
+BLOWUP_CFG = """\
+scenario = gaussian
+grid.n = 256
+grid.length = 100.0
+solver.dt = 0.05
+solver.t0 = 2.0
+solver.t_end = 12.0
+gaussian.amplitude = {amp}
+gaussian.width = 5.0
+output.prefix = blowup_{amp}
+"""
+
 # initial data that passes every key check but cannot start a run
 HOSTILE_INITIAL_DATA = {
     "custom_wrong_size": "scenario = custom\ncustom.samples_file = {short}\n",
@@ -80,6 +94,29 @@ def hostile_cfg_text(tmp_path, case):
     short = tmp_path / "short.txt"
     np.savetxt(short, np.zeros(100))
     return GRID_AND_SOLVER + HOSTILE_INITIAL_DATA[case].format(short=short)
+
+
+def sent_states_kept(tmp_path, monkeypatch, prefixes):
+    """Run one serial stack of record-every-step configs, one per prefix, and
+    return, for each record, how many earlier sent states are still alive in
+    this process."""
+    integrate, refs, kept = experiment_cli._iter_stack, [], []
+
+    def watched(fields, solver):
+        records = integrate(fields, solver)
+        del fields
+        for states in records:
+            kept.append(sum(r() is not None for r in refs))
+            refs.extend(weakref.ref(st.u) for st in states)
+            yield states
+
+    monkeypatch.setattr(experiment_cli, "_iter_stack", watched)
+    text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+    args = []
+    for prefix in prefixes:
+        args += ["--config", write_cfg(tmp_path, text.replace("uneven", prefix), f"{prefix}.cfg")]
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == 0
+    return kept
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -150,6 +187,20 @@ class TestConfigParsing:
         raw = parse_config_text(hostile_cfg_text(tmp_path, case))
         with pytest.raises(ConfigError):
             build_config(raw)
+
+    @pytest.mark.parametrize("prefix", ["sub/g", "../x"])
+    def test_prefix_with_a_directory_part_exits_2_before_any_run(self, tmp_path, capsys,
+                                                                  prefix):
+        # the prefix names files inside --out: "sub/g" would fail in the budgets
+        # process, "../x" would write outside --out
+        text = (SCRIPTS / "gaussian_budget.cfg").read_text().replace(
+            "output.prefix = gaussian_budget", f"output.prefix = {prefix}")
+        with pytest.raises(ConfigError, match="directory part"):
+            build_config(parse_config_text(text))
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+        assert "output.prefix" in capsys.readouterr().err
+        assert not out.exists() and glob.glob(str(tmp_path / "*.csv")) == []
 
     @pytest.mark.parametrize("name", ["soliton_decay", "gaussian_budget", "random_field"])
     def test_stock_config_loads(self, name):
@@ -296,6 +347,71 @@ gaussian.width = 2.0
         assert manifest["records"] == len(rows) == 2
         assert all(math.isfinite(float(c)) for row in rows for c in row if c)
 
+    def test_stacked_blowups_write_what_lone_runs_write(self, tmp_path, monkeypatch, capsys):
+        # scripts/compare_outputs.py's blowup pair shares grid, dt and span, so a
+        # serial run integrates it as one stack: at amplitude 300 the record cells
+        # overflow first, at 120 the field does, and each ends only its own run
+        integrate, firsts = experiment_cli._iter_stack, []
+
+        def logged(fields, solver):
+            firsts.append(fields)
+            return integrate(fields, solver)
+
+        monkeypatch.setattr(experiment_cli, "_iter_stack", logged)
+        paths = [write_cfg(tmp_path, BLOWUP_CFG.format(amp=amp), f"{amp}.cfg")
+                 for amp in (300, 120)]
+        stacked = tmp_path / "stacked"
+        assert main(["run", "--config", paths[0], "--config", paths[1],
+                     "--out", str(stacked)]) == 3
+        assert [len(fields) for fields in firsts] == [2]
+        # each message names the records of the config it ends
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert any(line.startswith(f"error: {stacked / 'blowup_300.csv'}: diagnostics not "
+                                   f"finite at t=") for line in err)
+        assert any(line.startswith(f"error: {stacked / 'blowup_120.csv'}: non-finite field "
+                                   f"detected at t=") for line in err)
+        for amp, path in zip((300, 120), paths):
+            alone = tmp_path / f"alone{amp}"
+            assert main(["run", "--config", path, "--out", str(alone)]) == 3
+            name = f"blowup_{amp}"
+            assert (stacked / f"{name}.csv").read_bytes() == (alone / f"{name}.csv").read_bytes()
+            manifests = [json.loads((out / f"{name}.manifest.json").read_text())
+                         for out in (stacked, alone)]
+            for manifest in manifests:
+                assert manifest.pop("started") and manifest.pop("finished")
+            assert manifests[0] == manifests[1] and manifests[0]["status"] == "aborted"
+
+    def test_error_while_streaming_ends_every_budgets_process(self, tmp_path, monkeypatch):
+        # the error closes every pipe, and each budgets process reads that as the
+        # end of its stream: none is left waiting, so the run does not hang
+        record_values, calls = experiment_cli._record_values, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 5:  # the third record of the first of two stacked configs
+                raise RuntimeError("injected integration failure")
+            return record_values(*args)
+
+        def hung(signum, frame):
+            # not TimeoutError: Process.join would swallow an OSError
+            raise AssertionError("a budgets process is still waiting for records")
+
+        monkeypatch.setattr(experiment_cli, "_record_values", failing)
+        one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
+        two = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("uneven", "uneven2"), "two.cfg")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                main(["run", "--config", one, "--config", two, "--out", str(tmp_path / "out")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for child in multiprocessing.active_children():
+                child.kill()
+        assert multiprocessing.active_children() == []
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
         out = str(tmp_path / "envout")
@@ -384,8 +500,8 @@ gaussian.width = 2.0
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(experiment_cli, "iter_trajectory",
-                            logged(experiment_cli.iter_trajectory, "integrate.pids"))
+        monkeypatch.setattr(experiment_cli, "_iter_stack",
+                            logged(experiment_cli._iter_stack, "integrate.pids"))
         monkeypatch.setattr(experiment_cli, "budgets",
                             logged(experiment_cli.budgets, "budgets.pids"))
         one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
@@ -394,9 +510,10 @@ gaussian.width = 2.0
                      "--out", str(tmp_path / "out")]) == 0
         integrating = (tmp_path / "integrate.pids").read_text().split()
         budgeting = (tmp_path / "budgets.pids").read_text().split()
-        # one integration per config; 2 budget rows per config, each config's
-        # in a process of its own
-        assert len(integrating) == 2 and len(budgeting) == 4
+        # one integration per stack: serially the two configs form one stack,
+        # under --jobs 2 two stacks of one; 2 budget rows per config, each
+        # config's in a process of its own
+        assert len(integrating) == (1 if jobs == "1" else 2) and len(budgeting) == 4
         assert len(set(budgeting)) == 2
         assert set(integrating).isdisjoint(budgeting)
         # serially this process integrates, in a pool only the workers do
@@ -432,7 +549,14 @@ gaussian.width = 2.0
             def map(self, fn, items):
                 return map(fn, items)
 
+        run_one, stacks = experiment_cli._run_one, []
+
+        def recorded(task):
+            stacks.append([cfg.out_prefix for cfg in task[0]])
+            return run_one(task)
+
         monkeypatch.setattr(experiment_cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiment_cli, "_run_one", recorded)
         args = []
         for i in range(configs):
             text = GAUSSIAN_UNEVEN_CFG.replace("uneven", f"g{i}")
@@ -440,6 +564,10 @@ gaussian.width = 2.0
         out = str(tmp_path / "out")
         assert main(["run", *args, "--jobs", str(jobs), "--out", out]) == 0
         assert sizes == [min(jobs, configs)]
+        # the configs share grid and solver settings: one group, dealt round
+        # robin into min(jobs, configs) stacks
+        k = min(jobs, configs)
+        assert stacks == [[f"g{i}" for i in range(j, configs, k)] for j in range(k)]
         assert sorted(os.listdir(out)) == sorted(
             f"g{i}.{ext}" for i in range(configs) for ext in ("csv", "manifest.json"))
 
@@ -465,22 +593,33 @@ gaussian.width = 2.0
         assert open(path, "rb").read() == open(os.path.join(out, "uneven.csv"), "rb").read()
 
     def test_serial_parent_keeps_no_sent_state(self, tmp_path, monkeypatch):
-        integrate, refs, kept = bv.iter_trajectory, [], []
+        assert sent_states_kept(tmp_path, monkeypatch, ["uneven"]) == [0] * 11
 
-        def watched(u0, solver):
-            states = integrate(u0, solver)
-            del u0
-            for st in states:
-                # the states sent before this one, still alive in this process
-                kept.append(sum(r() is not None for r in refs))
-                refs.append(weakref.ref(st.u))
-                yield st
+    def test_serial_parent_keeps_no_sent_state_of_a_stack(self, tmp_path, monkeypatch):
+        assert sent_states_kept(tmp_path, monkeypatch, ["uneven", "uneven2"]) == [0] * 11
 
-        monkeypatch.setattr(experiment_cli, "iter_trajectory", watched)
-        cfg = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3",
-                                                             "solver.record_every = 1"))
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert kept == [0] * 11
+    def test_stacks_hold_at_most_stack_max_configs(self, tmp_path, monkeypatch):
+        # five compatible configs run serially as stacks of 2, 2 and 1, one
+        # after another, so at most two budgets processes are alive at once
+        start, alive = experiment_cli._Stream.__init__, []
+
+        def counted(self, *args):
+            start(self, *args)
+            alive.append(len(multiprocessing.active_children()))
+
+        monkeypatch.setattr(experiment_cli, "_STACK_MAX", 2)
+        monkeypatch.setattr(experiment_cli._Stream, "__init__", counted)
+        args = []
+        for i in range(5):
+            text = GAUSSIAN_UNEVEN_CFG.replace("uneven", f"g{i}")
+            args += ["--config", write_cfg(tmp_path, text, f"g{i}.cfg")]
+        out = tmp_path / "out"
+        assert main(["run", *args, "--out", str(out)]) == 0
+        assert alive == [1, 2, 1, 2, 1]
+        assert multiprocessing.active_children() == []
+        ref = tmp_path / "ref"
+        assert main(["run", "--config", args[1], "--out", str(ref)]) == 0
+        assert (out / "g0.csv").read_bytes() == (ref / "g0.csv").read_bytes()
 
     def test_fanout_reports_worst_exit_code(self, tmp_path):
         good = write_cfg(tmp_path, SOLITON_CFG, "good.cfg")
