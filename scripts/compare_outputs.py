@@ -22,23 +22,29 @@ temporary directory:
     of four, or stacks of one config per core run one after another on a
     machine with fewer than four cores) and with `--jobs 2` into
     `ensemble_jobs2/` (two stacks of two);
+  * `run` on two record-dense gaussian configs (n = 2048, a record every
+    step, 301 records each; written by this script), each alone into
+    `dense/` and both at once into `dense_stack/` (one stack of two on a
+    machine with two cores or more). Every state is a CSV row with
+    budgets, so the budgets process may take the states in blocks;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
     `soliton_test.txt`.
 
 Every output file is then compared byte for byte. Manifests are compared
-as JSON without their `started` and `finished` timestamps. Each file of
-this tree's `run_jobs2/`, `aborted_jobs2/` and `ensemble_jobs2/` is also
-compared with the reference's `run/`, `aborted/` and `ensemble/`, so
-pooled scheduling answers to the reference's serial one. A command that
+as JSON without their `started` and `finished` timestamps and their
+`cpu_s` CPU seconds. Each file of this tree's `run_jobs2/`,
+`aborted_jobs2/`, `ensemble_jobs2/` and `dense_stack/` is also compared
+with the reference's `run/`, `aborted/`, `ensemble/` and `dense/`, so
+pooled and stacked scheduling answer to the reference's serial one. A command that
 exits with another code than the one expected stops the script with its
 stderr. The script
 prints one line per file; under a differing CSV or `.dat` file it also
 prints, for each column whose cells differ, the largest absolute
 difference (the tolerance a reordering of floating-point operations is
 held to), and under any other differing file a unified diff of its
-lines (a manifest's without its timestamps). It then prints the line
+lines (a manifest's without its timing keys). It then prints the line
 totals of `src/bovirial/*.py` in both trees (the size the code should
 shrink by) and the length of each tree's `bovirial.__all__` (the public
 surface), and exits 1 on any output difference, 0 otherwise.
@@ -86,9 +92,25 @@ random.seed = {seed}
 random.amplitude = 0.5
 output.prefix = ensemble_{seed}
 """
-# --jobs 2 output: serial twin
-JOBS2 = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ensemble"}
-TIMESTAMPS = ("started", "finished")
+DENSE_AMPLITUDES = (0.3, 0.25)
+DENSE = """\
+scenario = gaussian
+grid.n = 2048
+grid.length = 400.0
+solver.dt = 0.001
+solver.t0 = 30.0
+solver.t_end = 30.3
+weight.a = 0.25
+gaussian.amplitude = {amp}
+gaussian.width = 10.0
+gaussian.center = 5.0
+output.prefix = dense_{amp}
+"""
+# pooled or stacked output: serial or lone twin
+TWINS = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ensemble",
+         "dense_stack": "dense"}
+# manifest keys that differ between runs of the same config
+TIMING = ("started", "finished", "cpu_s")
 
 
 def _write_configs(tmp: str, template: str, key: str, items) -> list[str]:
@@ -103,7 +125,8 @@ def _write_configs(tmp: str, template: str, key: str, items) -> list[str]:
     return args
 
 
-def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str]) -> None:
+def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str],
+             dense: list[str]) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
     env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
@@ -119,6 +142,9 @@ def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str]) -> No
                        (["run", *ensemble, "--out", os.path.join(out, "ensemble")], 0),
                        (["run", *ensemble, "--jobs", "2", "--out",
                          os.path.join(out, "ensemble_jobs2")], 0),
+                       (["run", *dense[:2], "--out", os.path.join(out, "dense")], 0),
+                       (["run", *dense[2:], "--out", os.path.join(out, "dense")], 0),
+                       (["run", *dense, "--out", os.path.join(out, "dense_stack")], 0),
                        (["check-lemmas", "--out", os.path.join(out, "lemmas")], 0),
                        (["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                          "--out", os.path.join(out, "analyze")], 0)):
@@ -161,7 +187,7 @@ def _files(root: str) -> set[str]:
 
 def _manifest(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return {k: v for k, v in json.load(fh).items() if k not in TIMESTAMPS}
+        return {k: v for k, v in json.load(fh).items() if k not in TIMING}
 
 
 def _same(a: str, b: str) -> bool:
@@ -225,15 +251,16 @@ def main(argv: list[str]) -> int:
         ref_out, new_out = os.path.join(tmp, "ref"), os.path.join(tmp, "new")
         blowups = _write_configs(tmp, BLOWUP, "amp", BLOWUP_AMPLITUDES)
         ensemble = _write_configs(tmp, ENSEMBLE, "seed", ENSEMBLE_SEEDS)
+        dense = _write_configs(tmp, DENSE, "amp", DENSE_AMPLITUDES)
         for tree, out in ((ref_tree, ref_out), (HERE, new_out)):
             os.makedirs(out)
-            _produce(tree, out, blowups, ensemble)
+            _produce(tree, out, blowups, ensemble, dense)
         ref_files, new_files = _files(ref_out), _files(new_out)
         pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
         for rel in sorted(new_files):
             top, _, name = rel.partition(os.sep)
-            if top in JOBS2:
-                pairs.append((os.path.join(JOBS2[top], name), rel))
+            if top in TWINS:
+                pairs.append((os.path.join(TWINS[top], name), rel))
         differ = 0
         for ref_rel, rel in pairs:
             if ref_rel not in ref_files or rel not in new_files:

@@ -133,8 +133,9 @@ class _Plan:
         k1 = self.flux(vh)
         k2 = self.flux(e1 * (vh + (0.5 * dt) * k1))
         k3 = self.flux(e1 * vh + (0.5 * dt) * k2)
-        k4 = self.flux(e2 * vh + dt * (e1 * k3))
-        return e2 * vh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
+        e2vh = e2 * vh
+        k4 = self.flux(e2vh + dt * (e1 * k3))
+        return e2vh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
 
 
 def bo_rhs(u: Field) -> Field:
@@ -233,17 +234,19 @@ def invariants(u: Field) -> tuple[float, float, float, float]:
     coefficient is +2/3 (see conserved_energy); this E is still constant
     on traveling waves, and both are tracked by the diagnostics.
     """
-    return _invariants(u, frac_deriv(u, 0.5).samples)
+    values = _invariants(u.samples[None], frac_deriv(u, 0.5).samples[None], u.grid.spacing)
+    return tuple(float(v[0]) for v in values)
 
 
-def _invariants(u: Field, dh: np.ndarray) -> tuple[float, float, float, float]:
-    """invariants(u) given the samples dh of D^{1/2}u, for callers that already hold them."""
-    g = u.grid
-    s = u.samples
-    i1 = float(g.spacing * np.sum(s))
-    i2 = inner(u, u)
-    e = float(g.spacing * np.dot(dh, dh)) - float(g.spacing * np.sum(s * s * s)) / 3.0
-    l1 = float(g.spacing * np.sum(np.abs(s)))
+def _invariants(s: np.ndarray, dh: np.ndarray, spacing: float) -> tuple[np.ndarray, ...]:
+    """invariants of each row of a (k, n) stack of samples s, given the rows dh
+    of D^{1/2}u, as four length-k arrays. Sums run along each row and dot
+    products row by row, so a row gets the same bits in a stack of any size."""
+    i1 = spacing * s.sum(axis=-1)
+    i2 = spacing * np.array([np.dot(row, row) for row in s])
+    cubic = spacing * (s * s * s).sum(axis=-1)
+    e = spacing * np.array([np.dot(row, row) for row in dh]) - cubic / 3.0
+    l1 = spacing * np.abs(s).sum(axis=-1)
     return i1, i2, e, l1
 
 

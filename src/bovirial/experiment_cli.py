@@ -13,9 +13,9 @@ Subcommands:
 Config files are flat `key = value` text with dotted keys and '#'
 comments. Records are CSV with a fixed column order and floats written in
 shortest round-trip form, so identical configs produce byte-identical
-files. Rows are written and flushed as the run goes, from a window of
-three states, by a second process that computes the budgets from records
-fed over a pipe, one such process per config. Configs that share grid
+files. Rows are written and flushed as the run goes by a second process,
+one per config, that computes every cell from the states fed over a
+pipe, a block of states per spectral pass. Configs that share grid
 and solver settings (dt, t0, t_end, record_every) are integrated together
 as one stacked spectrum: `run` deals each such group round robin into
 min(N, group size) stacks, N from `--jobs` (default 1), or into more so
@@ -35,6 +35,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -67,15 +68,14 @@ from .spectral_core import Field, Grid, _band_limited, _positive, make_grid
 from .virial_diagnostics import (
     DiagRecord,
     WeightSchedule,
-    budgets,
-    diag_record,
+    _block,
     integrated_decay,
     lambda_at,
 )
 # unused here, but perfbench's tracer wraps them as this module's attributes
 from .bo_solver import run_trajectory  # noqa: F401
 from .inequality_harness import run_check  # noqa: F401
-from .virial_diagnostics import energy_budget, mass_budget  # noqa: F401
+from .virial_diagnostics import diag_record, energy_budget, mass_budget  # noqa: F401
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config_text", "build_config", "main"]
 
@@ -259,80 +259,112 @@ def _fmt(x) -> str:
 _RECORD_CELLS = ("t", "I1", "I2", "E", "L1", "lam", "F")
 _MASS_CELLS = ("a1", "a2", "a3", "a4", "residual")
 _ENERGY_CELLS = ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")
+_NO_BUDGET = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
+
+# the most samples one block of records holds: the budgets process computes
+# the cells of up to max(1, _BLOCK_SAMPLES // n) records in one spectral pass
+_BLOCK_SAMPLES = 8192
 
 
-def _cells(compute, *args) -> str | None:
-    """The values compute(*args) returns as comma-separated CSV cells, or
-    None when one is not finite or an operator result overflowed on the way."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = compute(*args)
-    except ValueError:
-        return None
+def _joined(values) -> str | None:
+    """Floats as comma-separated CSV cells, or None when one is not finite."""
     return ",".join(map(_fmt, values)) if all(map(math.isfinite, values)) else None
 
 
-def _record_values(u: Field, t: float, sched: WeightSchedule) -> list[float]:
-    record = diag_record(u, t, sched)
-    return [getattr(record, name) for name in _RECORD_CELLS]
+def _pass_rows(window: list, sched: WeightSchedule, records: slice) -> list[tuple]:
+    """One _block pass over `window`, consecutive states: the time, record
+    cells and budget cells of each row that `records` selects. Budget cells
+    are "," and the cells, or _NO_BUDGET where the row lacks two equally
+    spaced neighbors; cells are None where a value is not finite."""
+    ts = [st.t for st in window]
+    hs = [b - a for a, b in zip(ts, ts[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        record, mass, energy = _block(np.array([st.u.samples for st in window]), ts, hs[:-1],
+                                      sched, window[0].u.grid, records)
+    if mass is not None:
+        terms = np.column_stack([mass[name] for name in _MASS_CELLS]
+                                + [energy[name] for name in _ENERGY_CELLS]).tolist()
+    values = np.column_stack([record[name] for name in _RECORD_CELLS]).tolist()
+    rows = []
+    for j, cells in enumerate(map(_joined, values), start=records.indices(len(ts))[0]):
+        budget = _NO_BUDGET
+        if 0 < j < len(ts) - 1 and abs(hs[j] - hs[j - 1]) <= 1e-9 * max(hs[j - 1], hs[j]):
+            terms_j = _joined(terms[j - 1])
+            budget = None if terms_j is None else "," + terms_j
+        rows.append((ts[j], cells, budget))
+    return rows
 
 
-def _budget_values(*args) -> list[float]:
-    mass, energy = budgets(*args)
-    return [getattr(mass, name) for name in _MASS_CELLS] + \
-        [getattr(energy, name) for name in _ENERGY_CELLS]
+def _row_cells(blocks, sched: WeightSchedule):
+    """For each state of `blocks`, lists of consecutive states, yield its
+    time, record cells and budget cells (see _pass_rows).
+
+    Each block takes one pass together with the two states before it,
+    which gives the cells of every state that then has both neighbors. A
+    state is yielded once it has both, or once the blocks end, so only the
+    last two states are held between blocks."""
+    held, first = [], 0
+    for block in blocks:
+        window, rows = held + block, []
+        if len(window) > 1:
+            # the first state's row takes its record cells with no budgets
+            rows, first = _pass_rows(window, sched, slice(first, -1)), 1
+        held = window[-2:]
+        del block, window  # hold no more than the two states while the next block comes
+        yield from rows
+    if held:
+        yield from _pass_rows(held, sched, slice(-1, None))
 
 
-_NO_BUDGET = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
-
-
-def _write_rows(path: str, records, cfg: ScenarioConfig) -> tuple[int, float | None]:
-    """Write one CSV line per (state, record cells) pair of `records`, each
+def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | None]:
+    """Write one CSV line per state of `blocks`, lists of consecutive
+    recorded states, with the cells _row_cells computes; each line is
     flushed as it is written. Return the row count, and the time of the
     first state left out (None when none is).
 
     A row's budget cells are filled where its state has two equally spaced
-    neighbors, so rows trail the records by one state: the rolling window
-    (prev, cur, next) is all that is held, whatever the length of the run.
-    Rows stop before the first state whose record cells are None or whose
-    budgets are not all finite (near a blowup the cubic functionals
-    overflow first), so no cell is ever inf or nan; `records` is not read
-    past that state."""
-    prev = cur = cur_cells = cut = None
+    neighbors. A row is written once the next state's record cells are
+    known, which takes the state after that, so rows trail the states by
+    two: the two states before a block and the block are all that is held,
+    whatever the length of the run. Rows stop before the first state whose
+    record cells or budgets are not all finite (near a blowup the cubic
+    functionals overflow first), so no cell is ever inf or nan; `blocks` is
+    read no further than the state after it. The bytes do not depend on how
+    the states are grouped into blocks."""
+    cur = cut = None  # the (time, record cells, budget cells) of the last state read
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for nxt, cells in records:
+        for t, cells, budget in _row_cells(blocks, cfg.weight):
             if cells is None:
-                cut = nxt.t
+                cut = t
                 break
             if cur is not None:
-                budget = _NO_BUDGET
-                if prev is not None:
-                    h_prev, h_next = cur.t - prev.t, nxt.t - cur.t
-                    if abs(h_next - h_prev) <= 1e-9 * max(h_prev, h_next):
-                        terms = _cells(_budget_values, prev.u, cur.u, nxt.u, cur.t, h_prev,
-                                       cfg.weight)
-                        if terms is None:
-                            return rows, cur.t
-                        budget = "," + terms
-                fh.write(cur_cells + budget + "\n")
+                cur_t, cur_cells, cur_budget = cur
+                if cur_budget is None:
+                    return rows, cur_t
+                fh.write(cur_cells + cur_budget + "\n")
                 rows += 1
-            prev, cur, cur_cells = cur, nxt, cells
+            cur = t, cells, budget
         if cur is not None:
-            fh.write(cur_cells + _NO_BUDGET + "\n")
+            fh.write(cur[1] + _NO_BUDGET + "\n")
             rows += 1
     return rows, cut
 
 
+def _cpu_s() -> float:
+    """User plus system CPU seconds of this process so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 class _Stream:
     """One config's run, streamed to a budgets process of its own that runs
-    _write_rows on the records, so this process integrates and computes the
-    record cells while the other computes the budgets and writes the rows.
-    Each record crosses the pipe as the bytes t | samples | record cells
-    (empty where not finite); an empty message ends the stream. `finish`
-    collects the budgets process's result, writes the manifest and returns
-    the exit code."""
+    _write_rows on the states, so this process only integrates while the
+    other computes every cell of the rows and writes them. Each recorded
+    state crosses the pipe as the bytes t | samples; an empty message ends
+    the stream. `finish` collects the budgets process's result, writes the
+    manifest and returns the exit code."""
 
     def __init__(self, cfg: ScenarioConfig, out_dir: str, others: list):
         """Start the budgets process. `others` are the sending ends of the
@@ -341,7 +373,7 @@ class _Stream:
         self.records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
         self.manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
         self.started = _now()
-        self.status = "completed"
+        self.blowup = None
         self.open = True
         # forked, it starts from this process's memory, where a spawned process
         # would import numpy and the package again
@@ -353,22 +385,17 @@ class _Stream:
         child_conn.close()
 
     def send(self, st: TrajectoryState | BlowupError) -> None:
-        """Stream one recorded state. The stream ends at a BlowupError, after
-        a state whose record cells are not finite, or once the budgets
-        process stops reading."""
+        """Stream one recorded state. The stream ends at a BlowupError, or
+        once the budgets process stops reading: after a failure, or after
+        the state where it cut the rows."""
         if isinstance(st, BlowupError):
-            self.status = "aborted"
-            print(f"error: {self.records_path}: {st}", file=sys.stderr)
+            self.blowup = st
             self.end()
             return
-        cells = _cells(_record_values, st.u, st.t, self.cfg.weight)
         try:
-            self.conn.send_bytes(np.append(st.t, st.u.samples).tobytes()
-                                 + (cells or "").encode())
+            self.conn.send_bytes(np.append(st.t, st.u.samples))
         except ConnectionError:
             self.open = False  # the budgets process stopped reading: finish says why
-        if cells is None:
-            self.end()
 
     def end(self) -> None:
         """Send the empty message that ends the stream, unless it has ended."""
@@ -379,34 +406,39 @@ class _Stream:
             except ConnectionError:
                 pass
 
-    def finish(self) -> int:
-        """End the stream, wait for the budgets process and write the manifest."""
+    def finish(self, cpu_s: float) -> int:
+        """End the stream, wait for the budgets process and write the
+        manifest, with `cpu_s` as the integrating process's CPU seconds."""
         self.end()
         try:
             result = self.conn.recv()
         except (EOFError, ConnectionError):
             result = None
         self.close()
+        rows, cut, budgets_cpu_s = result if isinstance(result, tuple) else (None, None, None)
+        # a cut is at a state sent before any blowup, so the cut is what ends the rows
+        if cut is not None:
+            print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
+                  f"records stop after {rows} states", file=sys.stderr)
+        elif self.blowup is not None:
+            print(f"error: {self.records_path}: {self.blowup}", file=sys.stderr)
         if not isinstance(result, tuple):
             print(f"error: budgets process failed; {self.records_path} keeps the rows "
                   f"written so far, and no manifest is written\n"
                   f"{result or f'it exited with code {self.consumer.exitcode}'}",
                   file=sys.stderr)
             return 1
-        rows, cut = result
-        if cut is not None:
-            self.status = "aborted"
-            print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
-                  f"records stop after {rows} states", file=sys.stderr)
+        aborted = cut is not None or self.blowup is not None
         _write_json(self.manifest_path, {
             "config": self.cfg.raw,
             "version": __version__,
             "started": self.started,
             "finished": _now(),
             "records": rows,
-            "status": self.status,
+            "status": "aborted" if aborted else "completed",
+            "cpu_s": {"integrating": cpu_s, "budgets": budgets_cpu_s},
         })
-        return 0 if self.status == "completed" else 3
+        return 3 if aborted else 0
 
     def close(self) -> None:
         """Close the pipe and wait for the budgets process, which reads the
@@ -416,14 +448,15 @@ class _Stream:
 
 
 def _consume(conn, path: str, cfg: ScenarioConfig, senders: list) -> None:
-    """The budgets process: write the rows of the records a _Stream sends,
-    then send back _write_rows' result, or the traceback if it raised. It
-    ends without a word when the sender closes the pipe early; for it to see
-    that close, it first closes the sending ends it was forked holding."""
+    """The budgets process: write the rows of the states a _Stream sends,
+    then send back _write_rows' result and this process's CPU seconds, or
+    the traceback if it raised. It ends without a word when the sender
+    closes the pipe early; for it to see that close, it first closes the
+    sending ends it was forked holding."""
     for sender in senders:
         sender.close()
     try:
-        result = _write_rows(path, _received(conn, cfg.grid), cfg)
+        result = (*_write_rows(path, _received(conn, cfg.grid), cfg), _cpu_s())
     except EOFError:
         return
     except Exception:
@@ -432,11 +465,19 @@ def _consume(conn, path: str, cfg: ScenarioConfig, senders: list) -> None:
 
 
 def _received(conn, grid: Grid):
-    """The (state, record cells) pairs a _Stream sends, up to its empty message."""
+    """The states a _Stream sends, up to its empty message, in blocks: the
+    next state, and every state already waiting in the pipe, up to
+    max(1, _BLOCK_SAMPLES // n) states. A budgets process that keeps up
+    therefore writes row by row, and one that lags catches up in blocks."""
+    size, block = max(1, _BLOCK_SAMPLES // grid.n), []
     while message := conn.recv_bytes():
-        values = np.frombuffer(message, np.float64, grid.n + 1)
-        cells = message[values.nbytes:].decode() or None
-        yield TrajectoryState(Field(grid, values[1:]), float(values[0])), cells
+        values = np.frombuffer(message, np.float64)
+        block.append(TrajectoryState(Field(grid, values[1:]), float(values[0])))
+        if len(block) == size or not conn.poll(0):
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 def _write_json(path: str, obj) -> None:
@@ -472,9 +513,11 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     integrates as one (B, n/2+1) half spectrum, a lone config as a 1-D one.
     Each config streams to its own budgets process, which writes its
     records CSV as the run goes, then gets its manifest; it ends alone, on
-    a blowup, on record cells that are not finite or on a failed budgets
-    process, while the others run on."""
+    a blowup or once its budgets process stops reading (it cut the rows
+    or failed), while the others run on. The manifests carry the CPU
+    seconds this process spent on the stack."""
     streams: list[_Stream] = []
+    cpu_s = _cpu_s()
     try:
         for cfg in cfgs:
             streams.append(_Stream(cfg, out_dir, [s.conn for s in streams]))
@@ -486,7 +529,8 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
             del states, st  # hold no sent state while the next is integrated
             if not any(stream.open for stream in streams):
                 break
-        return [stream.finish() for stream in streams]
+        cpu_s = _cpu_s() - cpu_s
+        return [stream.finish(cpu_s) for stream in streams]
     finally:
         for stream in streams:
             stream.close()

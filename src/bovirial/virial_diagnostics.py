@@ -164,23 +164,22 @@ class DiagRecord:
 
 def local_energy(u: Field, lam: float) -> float:
     """F = int phi'(x/lam) (u^2 + (D^{1/2}u)^2) dx, always >= 0."""
-    _positive(lam, "lam")
-    return _local_energy(u, frac_deriv(u, 0.5).samples, lam)
-
-
-def _local_energy(u: Field, dh: np.ndarray, lam: float) -> float:
     g = u.grid
-    wp = phi_prime(g.coords / lam)
-    val = g.spacing * (np.sum(wp * u.samples ** 2) + np.sum(wp * dh ** 2))
-    return float(val)
+    wp = phi_prime(g.coords / _positive(lam, "lam"))
+    return float(_local_energy(u.samples ** 2, frac_deriv(u, 0.5).samples, wp, g.spacing))
+
+
+def _local_energy(squares: np.ndarray, dh: np.ndarray, wp: np.ndarray,
+                  spacing: float) -> np.ndarray:
+    """F of each row of a stack of states, given the rows of u^2, of D^{1/2}u
+    and of the sampled phi'(x/lam)."""
+    return spacing * ((wp * squares).sum(axis=-1) + (wp * dh ** 2).sum(axis=-1))
 
 
 def diag_record(u: Field, t: float, s: WeightSchedule) -> DiagRecord:
     """Invariants and local energy at t; D^{1/2}u is computed once for E and F."""
-    lam = lambda_at(s, t)
-    dh = np.fft.irfft(np.fft.rfft(u.samples) * u.grid._half_sym, u.grid.n)
-    i1, i2, e, l1 = _invariants(u, dh)
-    return DiagRecord(t=float(t), I1=i1, I2=i2, E=e, L1=l1, F=_local_energy(u, dh, lam), lam=lam)
+    record = _block(u.samples[None], [t], [], s, u.grid, records=slice(None))[0]
+    return DiagRecord(**{name: float(v[0]) for name, v in record.items()})
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,8 @@ class EnergyBudget:
     residual: float
 
 
-def _weighted_sum(grid: Grid, weight: np.ndarray, samples: np.ndarray) -> float:
-    return float(grid.spacing * (weight * samples).sum())
+def _weighted_sum(spacing: float, weight: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    return spacing * (weight * samples).sum(axis=-1)
 
 
 def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
@@ -241,61 +240,17 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
 
     The d/dt terms are centered differences of the full weighted integrals
     (weights evaluated at their own times); every other term is evaluated
-    at t with analytic w' and lambda'. The windows are evaluated once for
-    both budgets, and the operators take one spectral pass (9 transforms):
-    one rfft of u gives u_x, H u_x, H u_xx and D^{1/2}u, one of u^2 the flux
-    and one of phi' u the commutator, all on plain arrays. Only the inputs are
-    checked: a state whose square overflows gives terms that are not finite.
+    at t with analytic w' and lambda'. One spectral pass of 9 transforms
+    (see _block). Only the inputs are checked: a state whose square
+    overflows gives terms that are not finite.
     """
     g = _same_grid(u, u_prev)
     _same_grid(u, u_next)
     _positive(dt, "dt")
-    lam, w = lambda_at(s, t), w_at(s, t)
-    z = g.coords / lam
-    win, winp = phi(z), phi_prime(z)
-    zwinp = z * winp
-    w_next, win_next = w_at(s, t + dt), phi(g.coords / lambda_at(s, t + dt))
-    w_prev, win_prev = w_at(s, t - dt), phi(g.coords / lambda_at(s, t - dt))
-    w_prime, w_rate = w_prime_at(s, t), w * (lambda_prime_at(s, t) / lam)
-
-    def window_terms(density):
-        """For rho = density(samples): the centered d/dt of w int phi rho,
-        w' int phi rho and w (lambda'/lambda) int (x/lambda) phi' rho."""
-        rho = density(u.samples)
-        ddt = (w_next * _weighted_sum(g, win_next, density(u_next.samples))
-               - w_prev * _weighted_sum(g, win_prev, density(u_prev.samples))) / (2.0 * dt)
-        return ddt, w_prime * _weighted_sum(g, win, rho), w_rate * _weighted_sum(g, zwinp, rho)
-
-    spectrum = np.fft.rfft(u.samples)
-    ux, hux, disp, dh = (np.fft.irfft(spectrum * sym, g.n) for sym in (
-        g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym, g._half_sym))
-    # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
-    # the flux term the trajectory felt
-    flux = np.fft.irfft(_flux(u.samples, g), g.n)
-    # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
-    # plain products: the split d32 = d321 + d322 is then an exact adjointness
-    # identity, not a band-limited approximation
-    half_wu = np.fft.irfft(np.fft.rfft(winp * u.samples) * g._half_sym, g.n)
-    d322 = float(g.spacing * np.dot(dh, half_wu - winp * dh))
-
-    ddt, a1, a2 = window_terms(lambda v: v)
-    a3 = w * _weighted_sum(g, win, disp)
-    a4 = -w * _weighted_sum(g, win, flux)
-    mass = MassBudget(t=float(t), ddt_term=ddt, a1=a1, a2=a2, a3=a3, a4=a4,
-                      residual=ddt - a1 + a2 + a3 + a4)
-
-    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
-    # is exact in binary, so this matches weighting 1/2 u^2 directly
-    ddt, damping, dilation = window_terms(np.square)
-    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
-    d31 = _weighted_sum(g, win, hux * ux)
-    d32 = _weighted_sum(g, winp, hux * u.samples)
-    d321 = _weighted_sum(g, winp, dh ** 2)
-    b3 = -w * (d31 + d32 / lam)
-    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g, winp, u.samples * u.samples * u.samples)
-    energy = EnergyBudget(t=float(t), ddt_term=ddt, b1=b1, b2=b2, b3=b3, b4=b4, d31=d31,
-                          d32=d32, d321=d321, d322=d322, residual=ddt + b1 + b2 + b3 + b4)
-    return mass, energy
+    samples = np.array([u_prev.samples, u.samples, u_next.samples])
+    _, mass, energy = _block(samples, [t - dt, t, t + dt], [dt], s, g)
+    return (MassBudget(t=float(t), **{name: float(v[0]) for name, v in mass.items()}),
+            EnergyBudget(t=float(t), **{name: float(v[0]) for name, v in energy.items()}))
 
 
 def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
@@ -310,13 +265,106 @@ def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     return budgets(u_prev, u, u_next, t, dt, s)[1]
 
 
+def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid,
+           records: slice = slice(1, -1)):
+    """The record values of the rows `records` selects, a run that holds every
+    interior row, and the budget values of the interior rows, of an (m, n)
+    stack of consecutive states, in one spectral pass.
+
+    Row i is the state at ts[i]; interior row i steps by hs[i - 1], its
+    budgets pairing rows i - 1 and i + 1 as the states at t - h and t + h.
+    Returns (record, mass, energy): dicts from the fields of DiagRecord,
+    MassBudget and EnergyBudget (t left out of the budgets) to arrays over
+    those rows, mass and energy None when no row is interior. The pass takes
+    9 transforms however many rows it serves (2 with no interior row): one
+    rfft of the selected rows gives D^{1/2}u, shared by E, F and the
+    budgets, and u_x, H u_x and H u_xx; one rfft of u^2 gives the flux and
+    one of phi' u the commutator. Each row's window, spectrum and square
+    are made once. A row gets the same bits as in a pass of its own:
+    transforms and sums run along rows, dot products are taken row by row
+    (a matrix product would sum in another order), and the scalar weights
+    are taken with `math`, once per row or distinct time. Nothing is
+    checked.
+    """
+    m, g = len(ts), grid
+    lo, hi, _ = records.indices(m)
+    lams = np.array([lambda_at(s, t) for t in ts[lo:hi]])
+    spectrum = np.fft.rfft(samples[lo:hi])
+    dh = np.fft.irfft(spectrum * g._half_sym, g.n)
+    z = g.coords / lams[:, None]
+    winp, squares = phi_prime(z), np.square(samples)
+    i1, i2, e, l1 = _invariants(samples[lo:hi], dh, g.spacing)
+    record = {"t": np.array(ts[lo:hi], dtype=float), "I1": i1, "I2": i2, "E": e, "L1": l1,
+              "F": _local_energy(squares[lo:hi], dh, winp, g.spacing), "lam": lams}
+    if m < 3:
+        return record, None, None
+
+    mid = slice(1 - lo, m - 1 - lo)
+    spectrum, dh, z, winp, lam = spectrum[mid], dh[mid], z[mid], winp[mid], lams[mid]
+    u, now, zwinp = samples[1:-1], ts[1:-1], z * winp
+    before, after = [t - h for t, h in zip(now, hs)], [t + h for t, h in zip(now, hs)]
+    # w and phi(x/lambda) once per distinct time: t - h is the previous row's
+    # time wherever the spacing was exact, and t + h is often the next's
+    row = {}
+    for tau in before + now + after:
+        row.setdefault(tau, len(row))
+    w_tau = np.array([w_at(s, tau) for tau in row])
+    win_tau = phi(g.coords / np.array([lambda_at(s, tau) for tau in row])[:, None])
+    prev, cur, nxt = ([row[tau] for tau in taus] for taus in (before, now, after))
+    w_prev, w, w_next = w_tau[prev], w_tau[cur], w_tau[nxt]
+    win_prev, win, win_next = win_tau[prev], win_tau[cur], win_tau[nxt]
+    w_prime = np.array([w_prime_at(s, t) for t in now])
+    w_rate = w * (np.array([lambda_prime_at(s, t) for t in now]) / lam)
+    two_h = 2.0 * np.asarray(hs, dtype=float)
+
+    def window_terms(density):
+        """For rho the interior rows of `density`, u or u^2 of every row: the
+        centered d/dt of w int phi rho, w' int phi rho and
+        w (lambda'/lambda) int (x/lambda) phi' rho."""
+        rho = density[1:-1]
+        ddt = (w_next * _weighted_sum(g.spacing, win_next, density[2:])
+               - w_prev * _weighted_sum(g.spacing, win_prev, density[:-2])) / two_h
+        return (ddt, w_prime * _weighted_sum(g.spacing, win, rho),
+                w_rate * _weighted_sum(g.spacing, zwinp, rho))
+
+    ux, hux, disp = (np.fft.irfft(spectrum * sym, g.n) for sym in (
+        g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym))
+    # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
+    # the flux term the trajectory felt
+    flux = np.fft.irfft(_flux(u, g), g.n)
+    # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
+    # plain products: the split d32 = d321 + d322 is then an exact adjointness
+    # identity, not a band-limited approximation
+    half_wu = np.fft.irfft(np.fft.rfft(winp * u) * g._half_sym, g.n)
+    d322 = g.spacing * np.array([np.dot(a, b) for a, b in zip(dh, half_wu - winp * dh)])
+
+    ddt, a1, a2 = window_terms(samples)
+    a3 = w * _weighted_sum(g.spacing, win, disp)
+    a4 = -w * _weighted_sum(g.spacing, win, flux)
+    mass = {"ddt_term": ddt, "a1": a1, "a2": a2, "a3": a3, "a4": a4,
+            "residual": ddt - a1 + a2 + a3 + a4}
+
+    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
+    # is exact in binary, so this matches weighting 1/2 u^2 directly
+    ddt, damping, dilation = window_terms(squares)
+    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
+    d31 = _weighted_sum(g.spacing, win, hux * ux)
+    d32 = _weighted_sum(g.spacing, winp, hux * u)
+    d321 = _weighted_sum(g.spacing, winp, dh ** 2)
+    b3 = -w * (d31 + d32 / lam)
+    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g.spacing, winp, u * u * u)
+    energy = {"ddt_term": ddt, "b1": b1, "b2": b2, "b3": b3, "b4": b4, "d31": d31, "d32": d32,
+              "d321": d321, "d322": d322, "residual": ddt + b1 + b2 + b3 + b4}
+    return record, mass, energy
+
+
 def weighted_dispersive_flux(u: Field, lam: float) -> float:
     """int phi(x/lam) (H u_xx) u dx, the dispersive contribution to the
     energy budget before splitting; equals -(d31 + d32/lam)."""
     g = u.grid
     win = phi(g.coords / _positive(lam, "lam"))
     disp = deriv(deriv(hilbert(u)))
-    return _weighted_sum(g, win, disp.samples * u.samples)
+    return float(_weighted_sum(g.spacing, win, disp.samples * u.samples))
 
 
 def integrated_decay(records) -> tuple[float, list[tuple[float, float]]]:

@@ -119,6 +119,43 @@ def sent_states_kept(tmp_path, monkeypatch, prefixes):
     return kept
 
 
+def pid_logged(fn, path):
+    """fn, appending the pid of each process that calls it to `path`; forked
+    processes inherit the patch that installs it."""
+    def call(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fn(*args, **kwargs)
+    return call
+
+
+def lagging(monkeypatch):
+    """Make each budgets process read every state its stream sends before
+    it computes any row, as one that lags all the run would, so the
+    states come to _write_rows in full blocks of the cap."""
+    received = experiment_cli._received
+
+    def read_all_first(conn, grid):
+        waiting = [st for block in received(conn, grid) for st in block]
+        size = max(1, experiment_cli._BLOCK_SAMPLES // grid.n)
+        for i in range(0, len(waiting), size):
+            yield waiting[i:i + size]
+
+    monkeypatch.setattr(experiment_cli, "_received", read_all_first)
+
+
+def blocks_of(states, size):
+    """`states` in lists of `size`, holding none of a list once it is read."""
+    block = []
+    for st in states:
+        block.append(st)
+        if len(block) == size:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -380,24 +417,25 @@ gaussian.width = 2.0
                          for out in (stacked, alone)]
             for manifest in manifests:
                 assert manifest.pop("started") and manifest.pop("finished")
+                assert set(manifest.pop("cpu_s")) == {"integrating", "budgets"}
             assert manifests[0] == manifests[1] and manifests[0]["status"] == "aborted"
 
     def test_error_while_streaming_ends_every_budgets_process(self, tmp_path, monkeypatch):
         # the error closes every pipe, and each budgets process reads that as the
         # end of its stream: none is left waiting, so the run does not hang
-        record_values, calls = experiment_cli._record_values, []
+        send, calls = experiment_cli._Stream.send, []
 
-        def failing(*args):
+        def failing(self, st):
             calls.append(None)
             if len(calls) == 5:  # the third record of the first of two stacked configs
                 raise RuntimeError("injected integration failure")
-            return record_values(*args)
+            return send(self, st)
 
         def hung(signum, frame):
             # not TimeoutError: Process.join would swallow an OSError
             raise AssertionError("a budgets process is still waiting for records")
 
-        monkeypatch.setattr(experiment_cli, "_record_values", failing)
+        monkeypatch.setattr(experiment_cli._Stream, "send", failing)
         one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
         two = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("uneven", "uneven2"), "two.cfg")
         previous = signal.signal(signal.SIGALRM, hung)
@@ -451,32 +489,40 @@ gaussian.width = 2.0
     def check_budgets_failure(tmp_path, monkeypatch, capfd, jobs):
         """Only the failing config fails: it exits 1, names its CSV, which
         keeps its rows, and gets no manifest, while the other config runs to
-        its end. capfd, not capsys, reads a pool worker's stderr."""
+        its end. capfd, not capsys, reads a pool worker's stderr. With
+        blocks of one state, the cells of each state take one _block call."""
         text = SOLITON_CFG.replace("solver.t_end = 12.0", "solver.t_end = 2.5")
         cfg = write_cfg(tmp_path, text.replace("solver.record_every = 200",
                                                "solver.record_every = 1"))
         other = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG + "weight.c_scale = 2\n", "other.cfg")
         ref, out = str(tmp_path / "ref"), str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--config", other, "--out", ref]) == 0
-        budgets, calls = experiment_cli.budgets, []
+        block, calls = experiment_cli._block, []
 
-        def failing(*args):
-            # runs where the budgets are computed, which counts its own calls
+        def failing(*args, **kwargs):
+            # runs where the cells are computed, which counts its own calls
             # of the soliton config (window scale factor 1)
-            if args[-1].c_scale == 1.0:
+            if args[3].c_scale == 1.0:
                 calls.append(None)
-                if len(calls) == 3:
+                if len(calls) == 5:
                     raise RuntimeError("injected budgets failure")
-            return budgets(*args)
+            return block(*args, **kwargs)
 
-        monkeypatch.setattr(experiment_cli, "budgets", failing)
+        monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
+        monkeypatch.setattr(experiment_cli, "_block", pid_logged(failing, tmp_path / "cells.pids"))
+        monkeypatch.setattr(experiment_cli, "_iter_stack", pid_logged(
+            experiment_cli._iter_stack, tmp_path / "integrate.pids"))
         assert main(["run", "--config", cfg, "--config", other, "--out", out,
                      "--jobs", jobs]) == 1
+        # no process that integrates computes a record's cells
+        assert set((tmp_path / "integrate.pids").read_text().split()).isdisjoint(
+            (tmp_path / "cells.pids").read_text().split())
         assert multiprocessing.active_children() == []
         err = capfd.readouterr().err
         assert err.count("budgets process failed") == 1 and "injected budgets failure" in err
         assert os.path.join(out, "wave.csv") in err
-        # rows 0 (no budgets), 1 and 2 were written before the third call raised
+        # rows 0 (no budgets), 1 and 2 were written before the fifth call raised:
+        # row k once call k + 2 gave the cells of the state after it
         with open(os.path.join(ref, "wave.csv")) as fh:
             want = fh.read().splitlines()[:4]
         with open(os.path.join(out, "wave.csv")) as fh:
@@ -491,19 +537,13 @@ gaussian.width = 2.0
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_no_process_both_integrates_and_computes_budgets(self, tmp_path, monkeypatch,
                                                               jobs):
-        # every config streams its records to a budgets process, whether it
+        # every config streams its states to a budgets process, whether it
         # runs serially or in a pool worker; forked processes inherit the patches
-        def logged(fn, name):
-            def call(*args):
-                with open(tmp_path / name, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr(experiment_cli, "_iter_stack",
-                            logged(experiment_cli._iter_stack, "integrate.pids"))
-        monkeypatch.setattr(experiment_cli, "budgets",
-                            logged(experiment_cli.budgets, "budgets.pids"))
+        monkeypatch.setattr(experiment_cli, "_iter_stack", pid_logged(
+            experiment_cli._iter_stack, tmp_path / "integrate.pids"))
+        monkeypatch.setattr(experiment_cli, "_block", pid_logged(
+            experiment_cli._block, tmp_path / "budgets.pids"))
+        monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
         one = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG, "one.cfg")
         two = write_cfg(tmp_path, GAUSSIAN_UNEVEN_CFG.replace("uneven", "uneven2"), "two.cfg")
         assert main(["run", "--config", one, "--config", two, "--jobs", jobs,
@@ -511,9 +551,10 @@ gaussian.width = 2.0
         integrating = (tmp_path / "integrate.pids").read_text().split()
         budgeting = (tmp_path / "budgets.pids").read_text().split()
         # one integration per stack: serially the two configs form one stack,
-        # under --jobs 2 two stacks of one; 2 budget rows per config, each
-        # config's in a process of its own
-        assert len(integrating) == (1 if jobs == "1" else 2) and len(budgeting) == 4
+        # under --jobs 2 two stacks of one; in blocks of one, a cells pass per
+        # record, 5 per config, each config's in a process of its own, and
+        # none in a process that integrates: it computes no record cells
+        assert len(integrating) == (1 if jobs == "1" else 2) and len(budgeting) == 10
         assert len(set(budgeting)) == 2
         assert set(integrating).isdisjoint(budgeting)
         # serially this process integrates, in a pool only the workers do
@@ -571,26 +612,119 @@ gaussian.width = 2.0
         assert sorted(os.listdir(out)) == sorted(
             f"g{i}.{ext}" for i in range(configs) for ext in ("csv", "manifest.json"))
 
-    def test_writer_holds_at_most_three_states(self, tmp_path):
+    def test_writer_holds_at_most_three_states(self, tmp_path, monkeypatch):
+        # blocks of one: prev, cur and the next state, which completes cur's budgets
+        monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
+        assert self.states_held_by_writer(tmp_path) == 3
+
+    def test_writer_holds_a_block_and_two_states(self, tmp_path):
+        # at the default cap, 4 states at n = 2048: the 11 records come in
+        # blocks of 4, 4 and 3, and the two states before a block are held
+        assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 4
+        assert self.states_held_by_writer(tmp_path) == 4 + 2
+
+    @staticmethod
+    def states_held_by_writer(tmp_path):
+        """The most states alive while _write_rows takes a record-every-step
+        run (n = 2048) in blocks of the cap; its CSV must match a real run's."""
         text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        text = text.replace("grid.n = 1024", "grid.n = 2048")
         cfg = build_config(parse_config_text(text))
         refs, alive = [], []
 
-        def records():
+        def states():
             for st in bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver):
                 refs.append(weakref.ref(st.u))
                 alive.append(sum(r() is not None for r in refs))
-                cells = experiment_cli._cells(experiment_cli._record_values, st.u, st.t,
-                                              cfg.weight)
-                yield st, cells
+                yield st
 
+        path = tmp_path / "uneven.csv"
+        cap = max(1, experiment_cli._BLOCK_SAMPLES // cfg.grid.n)
+        assert experiment_cli._write_rows(str(path), blocks_of(states(), cap), cfg) == (11, None)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        assert path.read_bytes() == (out / "uneven.csv").read_bytes()
+        return max(alive)
+
+    def test_csv_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
+        # records every other step, at steps 0, 2, ..., 18 and 19: the last
+        # spacing is uneven. Written in blocks of one and, from a budgets
+        # process that lags all the run, in full blocks of the default cap
+        # (8 at n = 1024: the 11 records in 8 and 3)
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 2")
+        text = text.replace("solver.t_end = 2.05", "solver.t_end = 2.095")
+        cfg = write_cfg(tmp_path, text)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+        lagging(monkeypatch)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "cap")]) == 0
+        csvs = [(tmp_path / out / "uneven.csv").read_bytes() for out in ("one", "cap")]
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 12
+        _, rows = parse_records(str(tmp_path / "cap" / "uneven.csv"))
+        assert [r["energy_residual"] is None for r in rows] == [True] + [False] * 8 + [True] * 2
+
+    def test_blowup_cut_inside_a_block(self, tmp_path, monkeypatch, capsys):
+        # the record cells overflow at the third state (t = 2.1), the field one
+        # step later; a budgets process that reads the whole stream first gets
+        # the three states in one block (the cap is 32 at n = 256), and cuts
+        # where blocks of one do, with the same rows, manifest, message (not
+        # the blowup's, which the integration met after) and exit code
+        text = BLOWUP_CFG.format(amp=300).replace("gaussian.width = 5.0", "gaussian.width = 2.0")
+        cfg, outs = write_cfg(tmp_path, text), []
+        for cap in (1, None):
+            out = tmp_path / f"cap{cap}"
+            with monkeypatch.context() as patch:
+                if cap == 1:
+                    patch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
+                else:
+                    lagging(patch)
+                assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {out / 'blowup_300.csv'}: diagnostics not finite at t=2.1; "
+                           f"records stop after 2 states"]
+            manifest = json.loads((out / "blowup_300.manifest.json").read_text())
+            assert manifest.pop("started") and manifest.pop("finished") and manifest.pop("cpu_s")
+            outs.append(((out / "blowup_300.csv").read_bytes(), manifest))
+        assert outs[0] == outs[1]
+        assert outs[0][1]["status"] == "aborted" and outs[0][1]["records"] == 2
+
+    def test_cut_inside_a_block_writes_what_blocks_of_one_write(self, tmp_path):
+        # a state whose record cells overflow (finite samples, square past
+        # 1e308) amid the run: in any blocks, the rows stop before it, the row
+        # before it has no budget cells, and no later state is written
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        cfg = build_config(parse_config_text(text))
+        states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
+        states[5] = bv.TrajectoryState(bv.Field(cfg.grid, 1e200 * states[5].u.samples),
+                                       states[5].t)
+        written = []
+        for size in (1, 4, 8):
+            path = tmp_path / f"blocks{size}.csv"
+            assert experiment_cli._write_rows(str(path), blocks_of(states, size), cfg) == (
+                5, states[5].t)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
+        _, rows = parse_records(str(tmp_path / "blocks1.csv"))
+        assert [r["energy_residual"] is None for r in rows] == [True, False, False, False, True]
+
+    def test_interior_row_takes_nine_transforms(self, tmp_path, transforms):
+        # one pass of 9 per block, for the record and budgets of each state
+        # that has both neighbors; the first state's record takes 2 (in the
+        # pass with the second state), and so does the last state's, alone
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        cfg = build_config(parse_config_text(text))
+        states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
+        transforms.clear()
         path = str(tmp_path / "uneven.csv")
-        assert experiment_cli._write_rows(path, records(), cfg) == (11, None)
-        # prev, cur and the next state, which completes cur's budgets
-        assert max(alive) == 3
-        out = str(tmp_path / "out")
-        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
-        assert open(path, "rb").read() == open(os.path.join(out, "uneven.csv"), "rb").read()
+        assert experiment_cli._write_rows(path, blocks_of(states, 1), cfg) == (11, None)
+        # in blocks of one, 9 for each of the 9 interior rows
+        assert transforms == {"rfft": 1 + 9 * 3 + 1, "irfft": 1 + 9 * 6 + 1}
+        # in blocks of the cap, 8 at n = 1024: the 11 states in 8 and 3, one
+        # pass of 9 each, then the last state's 2
+        transforms.clear()
+        assert experiment_cli._write_rows(path, blocks_of(states, 8), cfg) == (11, None)
+        assert transforms == {"rfft": 2 * 3 + 1, "irfft": 2 * 6 + 1}
 
     def test_serial_parent_keeps_no_sent_state(self, tmp_path, monkeypatch):
         assert sent_states_kept(tmp_path, monkeypatch, ["uneven"]) == [0] * 11

@@ -53,6 +53,7 @@ UNCALLED_EXPORTS = {
     "bo_rhs",  # single-state API (README, "Library"): the equation's right side
     "invariants",  # single-state API: (I1, I2, E, L1)
     "local_energy",  # single-state API: F
+    "diag_record",  # single-state API: a record's cells; perfbench's tracer wraps it
     "conserved_energy",  # single-state API: the Hamiltonian
     "run_trajectory",  # iter_trajectory as a list, for library callers; perfbench's tracer wraps it
     "mass_budget",  # perfbench's tracer times budgets through these two halves

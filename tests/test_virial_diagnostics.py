@@ -18,6 +18,7 @@ from bovirial.spectral_core import Field, _positive, dealias, deriv, frac_deriv,
 from bovirial.virial_diagnostics import (
     EnergyBudget,
     MassBudget,
+    _block,
     d2x_hilbert_phi,
     phi,
     phi_prime,
@@ -94,6 +95,59 @@ def reference_budgets(u_prev, u, u_next, t, dt, s):
     d322 = bv.inner(u, frac_deriv(Field(g, bracket), 0.5))
     b3 = -w * (d31 + d32 / lam)
     b4 = -(2.0 / 3.0) * (w / lam) * wsum(winp, u.samples ** 3)
+    energy = EnergyBudget(float(t), ddt, b1, b2, b3, b4, d31, d32, d321, d322,
+                          ddt + b1 + b2 + b3 + b4)
+    return mass, energy
+
+
+def one_state_record(u, t, s):
+    """(t, I1, I2, E, L1, lambda, F) as the one-state diag_record computed
+    them before the block pass, for the bit-for-bit pin of _block."""
+    g, v = u.grid, u.samples
+    lam = bv.lambda_at(s, t)
+    dh = np.fft.irfft(np.fft.rfft(v) * g._half_sym, g.n)
+    wp = phi_prime(g.coords / lam)
+    e = float(g.spacing * np.dot(dh, dh)) - float(g.spacing * np.sum(v * v * v)) / 3.0
+    return (float(t), float(g.spacing * np.sum(v)), bv.inner(u, u), e,
+            float(g.spacing * np.sum(np.abs(v))), lam,
+            float(g.spacing * (np.sum(wp * v ** 2) + np.sum(wp * dh ** 2))))
+
+
+def one_state_budgets(u_prev, u, u_next, t, dt, s):
+    """budgets as the one-state code computed them before the block pass,
+    for the bit-for-bit pin of _block."""
+    g, v = u.grid, u.samples
+    lam, w = bv.lambda_at(s, t), bv.w_at(s, t)
+    z = g.coords / lam
+    win, winp = phi(z), phi_prime(z)
+    zwinp = z * winp
+    w_next, win_next = bv.w_at(s, t + dt), phi(g.coords / bv.lambda_at(s, t + dt))
+    w_prev, win_prev = bv.w_at(s, t - dt), phi(g.coords / bv.lambda_at(s, t - dt))
+    w_prime, w_rate = bv.w_prime_at(s, t), w * (bv.lambda_prime_at(s, t) / lam)
+
+    def wsum(weight, samples):
+        return float(g.spacing * (weight * samples).sum())
+
+    def window_terms(density):
+        rho = density(v)
+        ddt = (w_next * wsum(win_next, density(u_next.samples))
+               - w_prev * wsum(win_prev, density(u_prev.samples))) / (2.0 * dt)
+        return ddt, w_prime * wsum(win, rho), w_rate * wsum(zwinp, rho)
+
+    spectrum = np.fft.rfft(v)
+    ux, hux, disp, dh = (np.fft.irfft(spectrum * sym, g.n) for sym in (
+        g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym, g._half_sym))
+    flux = np.fft.irfft(np.fft.rfft(v * v) * g._flux_sym, g.n)
+    half_wu = np.fft.irfft(np.fft.rfft(winp * v) * g._half_sym, g.n)
+    d322 = float(g.spacing * np.dot(dh, half_wu - winp * dh))
+    ddt, a1, a2 = window_terms(lambda x: x)
+    a3, a4 = w * wsum(win, disp), -w * wsum(win, flux)
+    mass = MassBudget(float(t), ddt, a1, a2, a3, a4, ddt - a1 + a2 + a3 + a4)
+    ddt, damping, dilation = window_terms(np.square)
+    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
+    d31, d32, d321 = wsum(win, hux * ux), wsum(winp, hux * v), wsum(winp, dh ** 2)
+    b3 = -w * (d31 + d32 / lam)
+    b4 = -(2.0 / 3.0) * (w / lam) * wsum(winp, v * v * v)
     energy = EnergyBudget(float(t), ddt, b1, b2, b3, b4, d31, d32, d321, d322,
                           ddt + b1 + b2 + b3 + b4)
     return mass, energy
@@ -366,7 +420,8 @@ class TestEnergyBudget:
     def test_overflowing_state_gives_terms_that_are_not_finite(self, grid_small):
         # |u| = 1e200 is a finite Field, but u^2 overflows: budgets hands back
         # terms that are not finite instead of raising, and the CSV writer's
-        # _cells turns them into a cut row without a numpy warning
+        # _row_cells turns them, and the record cells, into a cut row without
+        # a numpy warning
         x = grid_small.coords
         u = Field(grid_small, 1e200 * np.exp(-((x / 5.0) ** 2)))
         args = (u, u, u, 10.0, 0.01, bv.WeightSchedule(a=0.25))
@@ -375,7 +430,11 @@ class TestEnergyBudget:
         assert not all(map(math.isfinite, astuple(mass)[1:] + astuple(energy)[1:]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert experiment_cli._cells(experiment_cli._budget_values, *args) is None
+            states = [bv.TrajectoryState(u, t) for t in (9.99, 10.0, 10.01)]
+            cells = list(experiment_cli._row_cells([states], args[-1]))
+        # the middle state's budget cells are None; the ends have no budgets
+        assert [(c, b) for _, c, b in cells] == [
+            (None, experiment_cli._NO_BUDGET), (None, None), (None, experiment_cli._NO_BUDGET)]
 
 
 class TestOneSpectralPass:
@@ -451,6 +510,41 @@ class TestOneSpectralPass:
         assert (mass.ddt_term, mass.a1, mass.a2) == astuple(want[0])[1:4]
         assert (energy.ddt_term, energy.b1, energy.b2, energy.d321) == (
             want[1].ddt_term, want[1].b1, want[1].b2, want[1].d321)
+
+    @pytest.mark.parametrize("data", ["trajectory", "white noise"])
+    def test_blocks_match_one_state_code_bit_for_bit(self, gaussian_small, data):
+        # every block size from 1 to the CSV writer's cap at n = 1024 (8), as
+        # the writer passes it with the two states before it (records of the
+        # interior rows) and at the start of a run (from row 0), and every
+        # row's record; white noise fills the top third and Nyquist
+        g, s = gaussian_small.grid, bv.WeightSchedule(a=0.25)
+        cap = experiment_cli._BLOCK_SAMPLES // g.n
+        assert cap == 8
+        if data == "trajectory":
+            solver = bv.SolverConfig(dt=1e-3, t0=10.0, t_end=10.09, record_every=10)
+            states = bv.run_trajectory(gaussian_small, solver)
+        else:
+            rng = np.random.default_rng(7)
+            states = [bv.TrajectoryState(Field(g, rng.standard_normal(g.n)), 10.0 + 0.01 * i)
+                      for i in range(cap + 2)]
+        assert len(states) == cap + 2
+        ts = [st.t for st in states]
+        records = [one_state_record(st.u, st.t, s) for st in states]
+        budgets = [None] + [astuple(m) + astuple(e) for m, e in (
+            one_state_budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i],
+                              ts[i] - ts[i - 1], s) for i in range(1, cap + 1))]
+        for k in range(1, cap + 1):
+            m = k + 2
+            samples = np.array([st.u.samples for st in states[:m]])
+            hs = [ts[i] - ts[i - 1] for i in range(1, m - 1)]
+            for rows in (slice(1, -1), slice(0, -1), slice(None)):
+                record, mass, energy = _block(samples, ts[:m], hs, s, g, rows)
+                got = list(zip(*(record[name] for name in experiment_cli._RECORD_CELLS)))
+                assert got == records[:m][rows]
+                for i in range(1, m - 1):
+                    got = (MassBudget(ts[i], **{f: v[i - 1] for f, v in mass.items()}),
+                           EnergyBudget(ts[i], **{f: v[i - 1] for f, v in energy.items()}))
+                    assert astuple(got[0]) + astuple(got[1]) == budgets[i]
 
     def test_single_budgets_are_the_halves(self, budget_states):
         s = bv.WeightSchedule(a=0.25)
