@@ -11,10 +11,10 @@ ratio:
 
 Every formula is written once, as a private kernel, and lemma_table runs
 the kernels in three stages: once per entry (f_x, H f_x and D^{1/2}f from
-one rfft), once per window scale (phi, phi' and ||(phi')^'||_1), and once
-per pair (only COMM's commutator needs both). run_check is the same
-kernels on one entry and one scale. _window refuses lam outside [L/n, L/2],
-and a zero input field raises ValueError under every check.
+one rfft and one irfft, with f's powers and norms), once per scale (phi,
+phi' and ||(phi')^'||_1), once per pair (COMM's one rfft, summed by
+Parseval). run_check is the same kernels on one entry and one scale. A lam
+outside [L/n, L/2], a zero field or a row not finite raises ValueError.
 
 The inequalities assert existence of constants, never their values, so the
 strongest desk-scale statement is regression: calibrate() takes the sup
@@ -25,6 +25,7 @@ and any future violation is a real behavior change. KM1 is one-sided
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .spectral_core import (
     Field,
     Grid,
     _band_limited,
-    _inverse,
     _positive,
     fourier_l1_deriv,
     l2_norm,
@@ -131,20 +131,27 @@ def build_corpus(grid: Grid, seed: int = DEFAULT_SEED) -> Corpus:
 
 @dataclass(frozen=True)
 class _Entry:
-    """The per-entry stage: f and its legs f_x, H f_x and D^{1/2}f, all three
-    from one rfft of f."""
+    """The per-entry stage: f, its legs f_x and H f_x (one rfft of f, and
+    one irfft for the legs and D^{1/2}f), and what every scale reuses: f^2,
+    |f|^3, ||f||, ||D^{1/2}f|| and the (2, n) pair [f, D^{1/2}f]."""
 
     f: Field
-    fx: Field
-    hfx: Field
-    half: Field
+    fx: np.ndarray
+    hfx: np.ndarray
+    f2: np.ndarray
+    f3: np.ndarray
+    norm: float
+    half_norm: float
+    pair: np.ndarray
 
 
 def _entry(f: Field) -> _Entry:
-    g = f.grid
-    spectrum = np.fft.rfft(f.samples)
-    return _Entry(f, *(_inverse(g, spectrum, sym)
-                       for sym in (g._deriv_sym, g._hilbert_deriv_sym, g._half_sym)))
+    g, s = f.grid, f.samples
+    syms = np.stack((g._deriv_sym, g._hilbert_deriv_sym, g._half_sym))
+    fx, hfx, half = np.fft.irfft(np.fft.rfft(s) * syms, g.n)
+    a = np.abs(s)
+    half_norm = float(np.sqrt(g.spacing * np.dot(half, half)))  # l2_norm's formula
+    return _Entry(f, fx, hfx, s * s, a * a * a, l2_norm(f), half_norm, np.stack((s, half)))
 
 
 @dataclass(frozen=True)
@@ -170,48 +177,51 @@ def _quad(e: _Entry, w: _Window) -> float:
     """(1/lam) int f^2 phi'(x/lam): the right side KM1 and KM2 share and KEY
     scales. _window's rule keeps the weight positive on every sample, so it
     is zero only for a zero input field, on which no check can be taken."""
-    quad = float(e.f.grid.spacing * np.sum(w.wp.samples * e.f.samples ** 2)) / w.lam
+    quad = float(e.f.grid.spacing * np.dot(w.wp.samples, e.f2)) / w.lam
     if quad == 0.0:
         raise ValueError(f"zero input field (int f^2 phi'(x/lam) = 0 at lam = {w.lam:g})")
     return quad
 
 
-def _commutator(phi_w: Field, u: Field, du: Field) -> Field:
-    """D^{1/2}(D^{1/2}(phi_w u) - phi_w du) for du = D^{1/2}u, both products
-    truncated by the 2/3 rule, as one composite: two rfft and one irfft."""
-    g = u.grid
-    a = np.fft.rfft(phi_w.samples * u.samples)
-    b = np.fft.rfft(phi_w.samples * du.samples)
-    half, keep = g._half_sym, g._dealias_sym
-    return Field(g, np.fft.irfft(half * (half * keep * a - keep * b), g.n))
-
-
-def _km1(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+def _km1(e: _Entry, w: _Window, quad: float) -> tuple[float, float]:
     """Signed: the bound is one-sided and constrains positive lhs only."""
-    lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * e.hfx.samples * e.f.samples))
-    return LemmaReport("KM1", w.lam, lhs, quad, lhs / quad, input_id)
+    return float(e.f.grid.spacing * np.sum(w.wp.samples * e.hfx * e.f.samples)), quad
 
 
-def _km2(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
-    lhs = abs(float(e.f.grid.spacing * np.sum(w.phi * e.hfx.samples * e.fx.samples)))
-    return LemmaReport("KM2", w.lam, lhs, quad, lhs / quad, input_id)
+def _km2(e: _Entry, w: _Window, quad: float) -> tuple[float, float]:
+    return abs(float(e.f.grid.spacing * np.sum(w.phi * e.hfx * e.fx))), quad
 
 
-def _comm(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
-    lhs = l2_norm(_commutator(w.wp, e.f, e.half))
-    rhs_unit = w.wp_l1 * l2_norm(e.f)
-    return LemmaReport("COMM", w.lam, lhs, rhs_unit, lhs / rhs_unit, input_id)
+def _comm(e: _Entry, w: _Window, quad: float) -> tuple[float, float]:
+    """The commutator c = D^{1/2}(D^{1/2}(phi' f) - phi' D^{1/2}f), both
+    products truncated by the 2/3 rule, has the spectrum G = |xi| (phi' f)^ -
+    |xi|^{1/2} (phi' D^{1/2}f)^ on 1 <= k <= n/3 (one rfft of the pair) and
+    0 elsewhere: at k = 0, and at the Nyquist mode, which the rule cuts. So
+    Parseval gives ||c||^2 = spacing (2/n) sum |G_k|^2 exactly."""
+    g = e.f.grid
+    kept = slice(1, g.n // 3 + 1)
+    a, b = np.fft.rfft(w.wp.samples * e.pair)[:, kept]
+    c = (g._xi_r[kept] * a - g._half_sym[kept] * b).view(np.float64)
+    return float(np.sqrt(2.0 * g.spacing / g.n * np.dot(c, c))), w.wp_l1 * e.norm
 
 
-def _key(e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+def _key(e: _Entry, w: _Window, quad: float) -> tuple[float, float]:
     """The norm factor makes the ratio exactly scale-invariant."""
-    rhs_unit = (l2_norm(e.f) + l2_norm(e.half)) * quad * w.lam  # undo the 1/lam
-    a = np.abs(e.f.samples)
-    lhs = float(e.f.grid.spacing * np.sum(w.wp.samples * (a * a * a)))
-    return LemmaReport("KEY", w.lam, lhs, rhs_unit, lhs / rhs_unit, input_id)
+    lhs = float(e.f.grid.spacing * np.dot(w.wp.samples, e.f3))
+    return lhs, (e.norm + e.half_norm) * quad * w.lam  # undo the 1/lam
 
 
-_KERNELS = {"KM1": _km1, "KM2": _km2, "COMM": _comm, "KEY": _key}  # in TAGS order
+_KERNELS = {"KM1": _km1, "KM2": _km2, "COMM": _comm, "KEY": _key}  # (lhs, rhs_unit), TAGS order
+
+
+def _row(tag: str, e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
+    """One kernel's row, which must be finite: no bound is read from inf or nan."""
+    lhs, rhs_unit = _KERNELS[tag](e, w, quad)
+    ratio = lhs / rhs_unit if rhs_unit else math.nan
+    if not all(map(math.isfinite, (lhs, rhs_unit, ratio))):
+        raise ValueError(f"{tag} on entry {input_id!r} at lam = {w.lam:g} is not finite "
+                         f"(lhs = {lhs!r}, rhs_unit = {rhs_unit!r}, ratio = {ratio!r})")
+    return LemmaReport(tag, w.lam, lhs, rhs_unit, ratio, input_id)
 
 
 def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport:
@@ -219,23 +229,23 @@ def run_check(tag: str, f: Field, lam: float, input_id: str = "") -> LemmaReport
     if tag not in _KERNELS:
         raise ValueError(f"unknown check tag {tag!r}")
     e, w = _entry(f), _window(f.grid, lam)
-    return _KERNELS[tag](e, w, _quad(e, w), input_id)
+    return _row(tag, e, w, _quad(e, w), input_id)
 
 
 def lemma_table(corpus: Corpus, lams) -> tuple[LemmaReport, ...]:
     """Every check on every corpus entry at every window scale, ordered by
     tag, then entry, then lambda: the rows check-lemmas writes, equal to
     run_check's. Each scale's window is built once, before the entry loop
-    (1 rfft), and each entry's legs once (1 rfft, 3 irfft); a pair then
-    costs only COMM's commutator (2 rfft, 1 irfft)."""
+    (1 rfft), and each entry's stage once (1 rfft, and 1 irfft of three
+    rows); a pair then costs only COMM's rfft of the (2, n) pair."""
     windows = [_window(corpus.entries[0].grid, lam) for lam in lams] if corpus.entries else []
     rows: dict[str, list[LemmaReport]] = {tag: [] for tag in TAGS}
     for label, f in zip(corpus.labels, corpus.entries):
         e = _entry(f)
         for w in windows:
             quad = _quad(e, w)
-            for tag, kernel in _KERNELS.items():
-                rows[tag].append(kernel(e, w, quad, label))
+            for tag in TAGS:
+                rows[tag].append(_row(tag, e, w, quad, label))
     return tuple(rep for tag in TAGS for rep in rows[tag])
 
 

@@ -68,13 +68,25 @@ def budget_states(gaussian_small):
     return bv.run_trajectory(gaussian_small, cfg)
 
 
+def _count_transforms(monkeypatch, weight):
+    count = Counter()
+    for name in ("rfft", "irfft"):
+        def counted(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            count[_name] += weight(a)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """Counts of np.fft.rfft and np.fft.irfft calls from here on."""
-    count = Counter()
-    for name in ("rfft", "irfft"):
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            count[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return count
+    return _count_transforms(monkeypatch, lambda a: 1)
+
+
+@pytest.fixture
+def transform_rows(monkeypatch):
+    """Counts of the 1-D rows np.fft.rfft and np.fft.irfft transform from
+    here on, along the last axis: a call on an (m, n) array counts m, so a
+    batched call cannot hide work."""
+    return _count_transforms(monkeypatch, lambda a: int(np.prod(np.shape(a)[:-1])))

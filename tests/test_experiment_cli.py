@@ -1020,6 +1020,21 @@ class TestCheckLemmas:
                       "[1.5625, 200] for this grid\n"
         assert not out.exists()
 
+    def test_entry_whose_rows_overflow_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a corpus entry of amplitude 1e200 overflows f^2: its rows are not
+        # finite, so no report is written
+        def huge(grid, seed):
+            return bv.Corpus((bv.Field(grid, 1e200 * np.exp(-(grid.coords / 5.0) ** 2)),),
+                             ("huge",))
+
+        monkeypatch.setattr(experiment_cli, "build_corpus", huge)
+        out = tmp_path / "lem"
+        assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",
+                     "--lambdas", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: KM1 on entry 'huge' at lam = 5 is not finite (lhs = nan, ")
+        assert not out.exists()
+
     def test_scales_at_the_bounds_run(self, tmp_path):
         out = tmp_path / "lem"
         assert main(["check-lemmas", "--grid-n", "256", "--grid-length", "400",

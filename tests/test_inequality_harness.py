@@ -9,7 +9,9 @@ from bovirial.inequality_harness import (
     TAGS,
     Corpus,
     build_corpus,
-    _commutator,
+    _comm,
+    _entry,
+    _Window,
     calibrate,
     lemma_table,
     run_check,
@@ -25,8 +27,19 @@ def zeros(grid):
 
 
 def commutator_half(phi_w, u):
-    """D^{1/2}(D^{1/2}(phi_w u) - phi_w D^{1/2}u) for any sampled weight."""
-    return _commutator(phi_w, u, frac_deriv(u, 0.5))
+    """D^{1/2}(D^{1/2}(phi_w u) - phi_w D^{1/2}u) for any sampled weight, both
+    products truncated by the 2/3 rule, as a Field: two rfft and one irfft.
+    COMM's lhs is its L2 norm, which the harness takes by Parseval."""
+    g = u.grid
+    a = np.fft.rfft(phi_w.samples * u.samples)
+    b = np.fft.rfft(phi_w.samples * frac_deriv(u, 0.5).samples)
+    half, keep = g._half_sym, g._dealias_sym
+    return Field(g, np.fft.irfft(half * (half * keep * a - keep * b), g.n))
+
+
+def comm_lhs(phi_w, u):
+    """COMM's lhs from the harness's kernel, for any sampled weight."""
+    return _comm(_entry(u), _Window(1.0, None, phi_w, 1.0), 1.0)[0]
 
 
 class TestCorpus:
@@ -77,33 +90,37 @@ class TestCorpus:
 class TestCommutator:
     def test_zero_field_gives_zero(self, grid_small):
         w = window_prime(grid_small, 1.0)
-        out = commutator_half(w, zeros(grid_small))
-        assert bv.l2_norm(out) == 0.0
+        assert comm_lhs(w, zeros(grid_small)) == 0.0
 
     def test_constant_weight_commutes(self, grid_small):
         w = Field(grid_small, np.full(grid_small.n, 2.0))
         x = grid_small.coords
         u = Field(grid_small, np.exp(-(x * x) / 16.0))
-        out = commutator_half(w, u)
-        assert bv.l2_norm(out) < 1e-12
+        assert comm_lhs(w, u) < 1e-12
 
     def test_bilinear_in_field(self, grid_small, corpus):
+        # a norm of a map linear in u obeys the parallelogram law
         w = window_prime(grid_small, 2.0)
-        u = corpus.entries[0]
-        v = corpus.entries[1]
-        uv = Field(grid_small, u.samples + v.samples)
-        lhs = commutator_half(w, uv)
-        rhs = commutator_half(w, u).samples + commutator_half(w, v).samples
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        assert np.max(np.abs(lhs.samples - rhs)) < 1e-10 * scale
+        u, v = corpus.entries[0].samples, corpus.entries[1].samples
+        plus, minus = (comm_lhs(w, Field(grid_small, u + s * v)) ** 2 for s in (1.0, -1.0))
+        parts = 2.0 * comm_lhs(w, corpus.entries[0]) ** 2 + 2.0 * comm_lhs(w, corpus.entries[1]) ** 2
+        assert abs(plus + minus - parts) < 1e-12 * parts
 
     def test_homogeneous_degree_one(self, grid_small, corpus):
         w = window_prime(grid_small, 1.0)
         u = corpus.entries[2]
         u3 = Field(grid_small, 3.0 * u.samples)
-        a = commutator_half(w, u3)
-        b = commutator_half(w, u)
-        assert np.max(np.abs(a.samples - 3.0 * b.samples)) < 1e-12
+        assert abs(comm_lhs(w, u3) - 3.0 * comm_lhs(w, u)) < 1e-12 * comm_lhs(w, u)
+
+    def test_parseval_norm_matches_the_transformed_field(self, grid_small, corpus):
+        # the kernel's sum over the kept modes against the irfft-then-l2_norm
+        # value; white noise fills the Nyquist mode and the top third
+        noise = Field(grid_small, np.random.default_rng(5).standard_normal(grid_small.n))
+        for f in corpus.entries + (noise,):
+            for lam in DEFAULT_LAMBDAS:
+                lhs = run_check("COMM", f, lam).lhs
+                ref = bv.l2_norm(commutator_half(window_prime(grid_small, lam), f))
+                assert abs(lhs - ref) <= 1e-13 * ref, (lam, lhs, ref)
 
 
 class TestChecks:
@@ -241,6 +258,35 @@ class TestCalibration:
                     )
 
 
+class TestFiniteRows:
+    """A row whose lhs, rhs_unit or ratio is not finite raises ValueError
+    naming its tag, entry and scale, under run_check and lemma_table alike."""
+
+    @pytest.mark.parametrize("amp, bad", [(1e150, ["KEY"]), (1e200, list(TAGS)), (1e-160, ["KEY"])])
+    def test_entry_out_of_range_raises(self, grid_small, amp, bad):
+        # a Gaussian on (1024, 400) at lam = 5: |f|^3 overflows at amplitude
+        # 1e150 and f^2 at 1e200; at 1e-160 KEY's lhs and rhs_unit underflow
+        # to 0 and leave no ratio
+        f = Field(grid_small, amp * np.exp(-(grid_small.coords / 5.0) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tag in TAGS:
+                if tag in bad:
+                    with pytest.raises(ValueError, match=rf"^{tag} on entry 'big' at "
+                                                         r"lam = 5 is not finite \(lhs = "):
+                        run_check(tag, f, 5.0, input_id="big")
+                else:
+                    rep = run_check(tag, f, 5.0, input_id="big")
+                    assert np.isfinite([rep.lhs, rep.rhs_unit, rep.ratio]).all(), rep
+            with pytest.raises(ValueError, match=rf"^{bad[0]} on entry 'big' at lam = 5 "):
+                lemma_table(Corpus((f,), ("big",)), [5.0])
+
+    def test_frozen_corpus_is_finite_at_every_scale(self, grid_small, corpus):
+        lams = (grid_small.spacing, *DEFAULT_LAMBDAS, grid_small.length / 2.0)
+        rows = lemma_table(corpus, lams)
+        assert len(rows) == len(TAGS) * len(corpus.entries) * len(lams)
+        assert np.isfinite([(r.lhs, r.rhs_unit, r.ratio) for r in rows]).all()
+
+
 def reference_check(tag, f, lam):
     """(lhs, rhs_unit) of one check with every operator its own round trip:
     the op-by-op formulas the one-pass table must reproduce."""
@@ -272,17 +318,21 @@ def reference_check(tag, f, lam):
 
 
 class TestOneSpectralPass:
-    """lemma_table builds each entry's legs once (one rfft, then f_x, H f_x
-    and D^{1/2}f), each window scale's phi, phi' and ||(phi')^'||_1 once,
-    and per pair only COMM's commutator. It must reproduce the op-by-op
-    checks, row for row and in the order tag, entry, lambda."""
+    """lemma_table builds each entry's stage once (one rfft, then f_x, H f_x
+    and D^{1/2}f in one irfft), each window scale's phi, phi' and
+    ||(phi')^'||_1 once, and per pair only COMM's rfft of [phi' f,
+    phi' D^{1/2}f]. It must reproduce the op-by-op checks, row for row and
+    in the order tag, entry, lambda."""
 
     @pytest.mark.parametrize("entries, lams", [(1, 1), (3, 1), (1, 4), (3, 4)])
-    def test_transforms_per_entry_per_scale_per_pair(self, corpus, transforms, entries, lams):
+    def test_transforms_per_entry_per_scale_per_pair(self, corpus, transforms, transform_rows,
+                                                     entries, lams):
         sub = Corpus(corpus.entries[:entries], corpus.labels[:entries])
         lemma_table(sub, DEFAULT_LAMBDAS[:lams])
         pairs = entries * lams
-        assert transforms == {"rfft": entries + lams + 2 * pairs, "irfft": 3 * entries + pairs}
+        assert transforms == {"rfft": entries + lams + pairs, "irfft": entries}
+        # the entry's three legs are one irfft call, a pair's two products one rfft call
+        assert transform_rows == {"rfft": entries + lams + 2 * pairs, "irfft": 3 * entries}
 
     def test_window_l1_takes_one_transform(self, grid_small, transforms):
         bv.fourier_l1_deriv(window_prime(grid_small, 5.0))
