@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import itertools
 import json
 import math
 import multiprocessing
@@ -261,9 +262,7 @@ _MASS_CELLS = ("a1", "a2", "a3", "a4", "residual")
 _ENERGY_CELLS = ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")
 _NO_BUDGET = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
 
-# the most samples one block of records holds: the budgets process computes
-# the cells of up to max(1, _BLOCK_SAMPLES // n) records in one spectral pass
-_BLOCK_SAMPLES = 8192
+_BLOCK_SAMPLES = 8192  # the most samples one block of records holds (see _received)
 
 
 def _joined(values) -> str | None:
@@ -329,8 +328,8 @@ def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | No
     whatever the length of the run. Rows stop before the first state whose
     record cells or budgets are not all finite (near a blowup the cubic
     functionals overflow first), so no cell is ever inf or nan; `blocks` is
-    read no further than the state after it. The bytes do not depend on how
-    the states are grouped into blocks."""
+    read no further than the block that holds the state after it. The bytes
+    do not depend on how the states are grouped into blocks."""
     cur = cut = None  # the (time, record cells, budget cells) of the last state read
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
@@ -465,19 +464,14 @@ def _consume(conn, path: str, cfg: ScenarioConfig, senders: list) -> None:
 
 
 def _received(conn, grid: Grid):
-    """The states a _Stream sends, up to its empty message, in blocks: the
-    next state, and every state already waiting in the pipe, up to
-    max(1, _BLOCK_SAMPLES // n) states. A budgets process that keeps up
-    therefore writes row by row, and one that lags catches up in blocks."""
-    size, block = max(1, _BLOCK_SAMPLES // grid.n), []
-    while message := conn.recv_bytes():
-        values = np.frombuffer(message, np.float64)
-        block.append(TrajectoryState(Field(grid, values[1:]), float(values[0])))
-        if len(block) == size or not conn.poll(0):
-            yield block
-            block = []
-    if block:
-        yield block
+    """The states a _Stream sends, up to its empty message, in consecutive
+    blocks of max(1, _BLOCK_SAMPLES // n), whatever the timing; the pipe is
+    read no further than the block that holds the state after a cut."""
+    size = max(1, _BLOCK_SAMPLES // grid.n)
+    values = (np.frombuffer(message, np.float64) for message in iter(conn.recv_bytes, b""))
+    states = (TrajectoryState(Field(grid, v[1:]), float(v[0])) for v in values)
+    # unlike a generator's loop, this holds no block while it reads the next
+    return iter(lambda: list(itertools.islice(states, size)), [])
 
 
 def _write_json(path: str, obj) -> None:

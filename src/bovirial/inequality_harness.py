@@ -14,7 +14,8 @@ the kernels in three stages: once per entry (f_x, H f_x and D^{1/2}f from
 one rfft and one irfft, with f's powers and norms), once per scale (phi,
 phi' and ||(phi')^'||_1), once per pair (COMM's one rfft, summed by
 Parseval). run_check is the same kernels on one entry and one scale. A lam
-outside [L/n, L/2], a zero field or a row not finite raises ValueError.
+outside [L/n, L/2], a zero or subnormal (1/lam) int f^2 phi', or a row not
+finite (a subnormal lhs or rhs_unit counts as not finite) raises ValueError.
 
 The inequalities assert existence of constants, never their values, so the
 strongest desk-scale statement is regression: calibrate() takes the sup
@@ -57,6 +58,7 @@ DEFAULT_SEED = 20260819
 DEFAULT_LAMBDAS = (1.0, 5.0, 20.0, 100.0)
 
 TAGS = ("KM1", "KM2", "COMM", "KEY")
+_TINY = np.finfo(float).tiny  # the smallest normal float: below it, digits are lost
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,12 @@ def _window(grid: Grid, lam: float) -> _Window:
 
 def _quad(e: _Entry, w: _Window) -> float:
     """(1/lam) int f^2 phi'(x/lam): the right side KM1 and KM2 share and KEY
-    scales. _window's rule keeps the weight positive on every sample, so it
-    is zero only for a zero input field, on which no check can be taken."""
+    scales. No check is taken where it is zero (only on a zero field: the
+    weight is positive on every sample) or subnormal (f^2 lost its digits)."""
     quad = float(e.f.grid.spacing * np.dot(w.wp.samples, e.f2)) / w.lam
-    if quad == 0.0:
-        raise ValueError(f"zero input field (int f^2 phi'(x/lam) = 0 at lam = {w.lam:g})")
+    if quad < _TINY:
+        kind = "zero" if quad == 0.0 else "subnormal"
+        raise ValueError(f"{kind} input field (int f^2 phi'/lam = {quad!r} at lam = {w.lam:g})")
     return quad
 
 
@@ -215,10 +218,11 @@ _KERNELS = {"KM1": _km1, "KM2": _km2, "COMM": _comm, "KEY": _key}  # (lhs, rhs_u
 
 
 def _row(tag: str, e: _Entry, w: _Window, quad: float, input_id: str) -> LemmaReport:
-    """One kernel's row, which must be finite: no bound is read from inf or nan."""
+    """One kernel's row: no bound is read from inf, nan or a subnormal lhs or rhs_unit."""
     lhs, rhs_unit = _KERNELS[tag](e, w, quad)
     ratio = lhs / rhs_unit if rhs_unit else math.nan
-    if not all(map(math.isfinite, (lhs, rhs_unit, ratio))):
+    if (not all(map(math.isfinite, (lhs, rhs_unit, ratio)))
+            or any(0.0 < abs(v) < _TINY for v in (lhs, rhs_unit))):
         raise ValueError(f"{tag} on entry {input_id!r} at lam = {w.lam:g} is not finite "
                          f"(lhs = {lhs!r}, rhs_unit = {rhs_unit!r}, ratio = {ratio!r})")
     return LemmaReport(tag, w.lam, lhs, rhs_unit, ratio, input_id)

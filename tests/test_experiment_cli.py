@@ -6,9 +6,11 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 import warnings
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,21 +129,6 @@ def pid_logged(fn, path):
             fh.write(f"{os.getpid()}\n")
         return fn(*args, **kwargs)
     return call
-
-
-def lagging(monkeypatch):
-    """Make each budgets process read every state its stream sends before
-    it computes any row, as one that lags all the run would, so the
-    states come to _write_rows in full blocks of the cap."""
-    received = experiment_cli._received
-
-    def read_all_first(conn, grid):
-        waiting = [st for block in received(conn, grid) for st in block]
-        size = max(1, experiment_cli._BLOCK_SAMPLES // grid.n)
-        for i in range(0, len(waiting), size):
-            yield waiting[i:i + size]
-
-    monkeypatch.setattr(experiment_cli, "_received", read_all_first)
 
 
 def blocks_of(states, size):
@@ -623,6 +610,34 @@ gaussian.width = 2.0
         assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 4
         assert self.states_held_by_writer(tmp_path) == 4 + 2
 
+    def test_reader_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
+        # the budgets process's own states, read by _received from the sent
+        # bytes: at n = 2048 (cap 4) the two states before a block and the
+        # block, for the 11 records as for any number; none of a block is
+        # held while the next block is read
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        text = text.replace("grid.n = 1024", "grid.n = 2048")
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        cfg = build_config(parse_config_text(text))
+        sent = [np.append(st.t, st.u.samples).tobytes()
+                for st in bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)]
+        refs, alive = [], []
+
+        def field(grid, samples):
+            made = bv.Field(grid, samples)
+            refs.append(weakref.ref(made))
+            alive.append(sum(r() is not None for r in refs))
+            return made
+
+        monkeypatch.setattr(experiment_cli, "Field", field)
+        conn = SimpleNamespace(recv_bytes=iter(sent + [b""]).__next__)
+        path = tmp_path / "uneven.csv"
+        assert experiment_cli._write_rows(
+            str(path), experiment_cli._received(conn, cfg.grid), cfg) == (11, None)
+        assert len(alive) == 11 and max(alive) == 4 + 2
+        assert path.read_bytes() == (out / "uneven.csv").read_bytes()
+
     @staticmethod
     def states_held_by_writer(tmp_path):
         """The most states alive while _write_rows takes a record-every-step
@@ -648,28 +663,49 @@ gaussian.width = 2.0
 
     def test_csv_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
         # records every other step, at steps 0, 2, ..., 18 and 19: the last
-        # spacing is uneven. Written in blocks of one and, from a budgets
-        # process that lags all the run, in full blocks of the default cap
-        # (8 at n = 1024: the 11 records in 8 and 3)
+        # spacing is uneven. Written in blocks of one and in blocks of the
+        # default cap (8 at n = 1024: the 11 records in 8 and 3)
         text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 2")
         text = text.replace("solver.t_end = 2.05", "solver.t_end = 2.095")
         cfg = write_cfg(tmp_path, text)
         with monkeypatch.context() as patch:
             patch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
-        lagging(monkeypatch)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "cap")]) == 0
         csvs = [(tmp_path / out / "uneven.csv").read_bytes() for out in ("one", "cap")]
         assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 12
         _, rows = parse_records(str(tmp_path / "cap" / "uneven.csv"))
         assert [r["energy_residual"] is None for r in rows] == [True] + [False] * 8 + [True] * 2
 
+    def test_pass_schedule_does_not_depend_on_timing(self, tmp_path, monkeypatch):
+        # 11 records at n = 1024, cap 8: blocks of 8 and 3, a _block pass
+        # each, then the last state's record pass, both when the budgets
+        # process keeps up and when the integration sleeps 20 ms per record
+        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+        cfg, integrate, csvs = write_cfg(tmp_path, text), experiment_cli._iter_stack, []
+
+        def slow(fields, solver):
+            for states in integrate(fields, solver):
+                time.sleep(0.02)
+                yield states
+
+        for name, stack in (("fast", integrate), ("slow", slow)):
+            pids = tmp_path / f"{name}.pids"
+            with monkeypatch.context() as patch:
+                patch.setattr(experiment_cli, "_iter_stack", stack)
+                patch.setattr(experiment_cli, "_block", pid_logged(experiment_cli._block, pids))
+                assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            calls = pids.read_text().split()
+            assert len(calls) == 3 and str(os.getpid()) not in calls
+            csvs.append((tmp_path / name / "uneven.csv").read_bytes())
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 12
+
     def test_blowup_cut_inside_a_block(self, tmp_path, monkeypatch, capsys):
         # the record cells overflow at the third state (t = 2.1), the field one
-        # step later; a budgets process that reads the whole stream first gets
-        # the three states in one block (the cap is 32 at n = 256), and cuts
-        # where blocks of one do, with the same rows, manifest, message (not
-        # the blowup's, which the integration met after) and exit code
+        # step later; at the default cap (32 at n = 256) the budgets process
+        # gets the three states in one block, and cuts where blocks of one do,
+        # with the same rows, manifest, message (not the blowup's, which the
+        # integration met after) and exit code
         text = BLOWUP_CFG.format(amp=300).replace("gaussian.width = 5.0", "gaussian.width = 2.0")
         cfg, outs = write_cfg(tmp_path, text), []
         for cap in (1, None):
@@ -677,8 +713,6 @@ gaussian.width = 2.0
             with monkeypatch.context() as patch:
                 if cap == 1:
                     patch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
-                else:
-                    lagging(patch)
                 assert main(["run", "--config", cfg, "--out", str(out)]) == 3
             err = capsys.readouterr().err.splitlines()
             assert err == [f"error: {out / 'blowup_300.csv'}: diagnostics not finite at t=2.1; "

@@ -259,14 +259,16 @@ class TestCalibration:
 
 
 class TestFiniteRows:
-    """A row whose lhs, rhs_unit or ratio is not finite raises ValueError
-    naming its tag, entry and scale, under run_check and lemma_table alike."""
+    """A row whose lhs, rhs_unit or ratio is not finite, or whose lhs or
+    rhs_unit is subnormal, raises ValueError naming its tag, entry and
+    scale, under run_check and lemma_table alike; so does an entry whose
+    quadrature is subnormal, under every tag."""
 
-    @pytest.mark.parametrize("amp, bad", [(1e150, ["KEY"]), (1e200, list(TAGS)), (1e-160, ["KEY"])])
+    @pytest.mark.parametrize("amp, bad", [(1e150, ["KEY"]), (1e200, list(TAGS)), (1e-105, ["KEY"])])
     def test_entry_out_of_range_raises(self, grid_small, amp, bad):
         # a Gaussian on (1024, 400) at lam = 5: |f|^3 overflows at amplitude
-        # 1e150 and f^2 at 1e200; at 1e-160 KEY's lhs and rhs_unit underflow
-        # to 0 and leave no ratio
+        # 1e150 and f^2 at 1e200; at 1e-105 KEY's lhs (4.5e-315) and
+        # rhs_unit are subnormal, and their ratio is off in the ninth digit
         f = Field(grid_small, amp * np.exp(-(grid_small.coords / 5.0) ** 2))
         with np.errstate(over="ignore", invalid="ignore"):
             for tag in TAGS:
@@ -279,6 +281,28 @@ class TestFiniteRows:
                     assert np.isfinite([rep.lhs, rep.rhs_unit, rep.ratio]).all(), rep
             with pytest.raises(ValueError, match=rf"^{bad[0]} on entry 'big' at lam = 5 "):
                 lemma_table(Corpus((f,), ("big",)), [5.0])
+
+    @pytest.mark.parametrize("amp", [1e-160, 1e-155])
+    def test_subnormal_quad_raises_for_every_tag(self, grid_small, amp):
+        # the same Gaussian: (1/lam) int f^2 phi' is 1.06e-320 at amplitude
+        # 1e-160 and 1.06e-310 at 1e-155, below the smallest normal float,
+        # where the KM2 ratio read 0.012629 and 0.012186239339971 against
+        # amplitude 1's 0.012186239339844
+        f = Field(grid_small, amp * np.exp(-(grid_small.coords / 5.0) ** 2))
+        for tag in TAGS:
+            with pytest.raises(ValueError, match=r"^subnormal input field \(int f\^2 phi'/lam = "):
+                run_check(tag, f, 5.0, input_id="small")
+        with pytest.raises(ValueError, match=r"^subnormal input field "):
+            lemma_table(Corpus((f,), ("small",)), [5.0])
+
+    def test_small_entry_keeps_its_ratios(self, grid_small):
+        # at amplitude 1e-100 every value is normal, and each check is of
+        # degree zero in the amplitude: the ratios are amplitude 1's
+        gauss = np.exp(-(grid_small.coords / 5.0) ** 2)
+        for tag in TAGS:
+            want = run_check(tag, Field(grid_small, gauss), 5.0).ratio
+            got = run_check(tag, Field(grid_small, 1e-100 * gauss), 5.0).ratio
+            assert abs(got - want) <= 1e-15 * abs(want), (tag, got, want)
 
     def test_frozen_corpus_is_finite_at_every_scale(self, grid_small, corpus):
         lams = (grid_small.spacing, *DEFAULT_LAMBDAS, grid_small.length / 2.0)
