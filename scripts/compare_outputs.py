@@ -26,8 +26,8 @@ temporary directory:
     step, 301 records each; written by this script), each alone into
     `dense/` and both at once into `dense_stack/` (one stack of two on a
     machine with two cores or more). Every state is a CSV row with
-    budgets, and the budgets process takes the states in blocks of four
-    (8192 // n);
+    budgets, and the budgets process takes the states in blocks of
+    sixteen (32768 // n), each after the first sent as its half spectrum;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as

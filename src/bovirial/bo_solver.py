@@ -155,24 +155,35 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
     only a few bounds the memory of any length of run. Non-finite samples
     raise BlowupError.
     """
+    g = u0.grid
     records = _iter_stack([u0], cfg)
     del u0
-    for (st,) in records:
-        if isinstance(st, BlowupError):
-            raise st
+    for (entry,) in records:
+        if isinstance(entry, BlowupError):
+            raise entry
+        t, values = entry
+        # Field copies the transform's output: kept as is, it made glibc trim and regrow
+        # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.fft.irfft(values, g.n) if np.iscomplexobj(values) else values
+        try:
+            st = TrajectoryState(Field(g, samples), t)
+        except ValueError:
+            raise BlowupError(t, round((t - cfg.t0) / cfg.dt)) from None
+        del entry, values, samples  # hold no view of the spectrum while the next is made
         yield st
         del st
 
 
 def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
-    """`iter_trajectory` for a stack of fields on one grid: their half
+    """`iter_trajectory`'s loop for a stack of fields on one grid: their half
     spectra advance as one (B, n/2+1) array, each row bit for bit as it
-    would alone, and each record is a list of B entries, one per member.
-    A member's entry is its TrajectoryState, or its BlowupError at the
-    record where its samples stop being finite; the member then leaves the
-    stack and its later entries are None. A lone field keeps a 1-D
-    spectrum, since a stack of one steps 3-5% slower.
-    """
+    would alone, and each record is a list of B entries, one per member:
+    (t0, its samples), then (t, its half spectrum, a row no later step
+    writes to), with no transform, or its BlowupError at the record where
+    its spectrum stops being finite; the member then leaves the stack and
+    its later entries are None. A lone field keeps a 1-D spectrum (a
+    stack of one steps 3-5% slower)."""
     g = fields[0].grid
     if any((f.grid.n, f.grid.length) != (g.n, g.length) for f in fields):
         raise ValueError("fields live on different grids")
@@ -180,7 +191,7 @@ def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
     plan = _Plan(g, cfg.dt)
     size = len(fields)
     vh = np.fft.rfft(fields[0].samples if size == 1 else np.array([f.samples for f in fields]))
-    yield [TrajectoryState(f, cfg.t0) for f in fields]
+    yield [(cfg.t0, f.samples) for f in fields]
     del fields
     members = list(range(size))  # the member each row of vh holds
     done = 0
@@ -192,32 +203,17 @@ def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
         done = k
         t = cfg.t0 + k * cfg.dt
         rows = vh.reshape(len(members), -1)  # a view, also of a 1-D spectrum
+        finite = np.isfinite(rows).all(axis=-1).tolist()
         states = [None] * size
         for row, m in enumerate(members):
-            try:
-                states[m] = _state(g, rows[row], t, k)
-            except BlowupError as exc:
-                states[m] = exc
-        kept = [row for row, m in enumerate(members) if isinstance(states[m], TrajectoryState)]
-        if len(kept) < len(members):
-            vh, members = rows[kept], [members[row] for row in kept]
+            states[m] = (t, rows[row]) if finite[row] else BlowupError(t, k)
+        if not all(finite):
+            vh, members = rows[finite], [m for m, ok in zip(members, finite) if ok]
         del rows
         yield states
         del states
         if not members:
             return
-
-
-def _state(g: Grid, vh: np.ndarray, t: float, step: int) -> TrajectoryState:
-    """The recorded state whose half spectrum is vh."""
-    # Field copies the transform's output: kept as is, it made glibc trim and regrow
-    # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.irfft(vh, g.n)
-    try:
-        return TrajectoryState(Field(g, samples), t)
-    except ValueError:
-        raise BlowupError(t, step) from None
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:

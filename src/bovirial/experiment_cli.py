@@ -30,7 +30,9 @@ directory when --out is omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import fcntl
 import itertools
 import json
 import math
@@ -262,12 +264,12 @@ _MASS_CELLS = ("a1", "a2", "a3", "a4", "residual")
 _ENERGY_CELLS = ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")
 _NO_BUDGET = "," * (len(CSV_COLUMNS) - len(_RECORD_CELLS))
 
-_BLOCK_SAMPLES = 8192  # the most samples one block of records holds (see _received)
+_BLOCK_SAMPLES = 32768  # the most samples one block of records holds (see _received)
 
 
 def _joined(values) -> str | None:
     """Floats as comma-separated CSV cells, or None when one is not finite."""
-    return ",".join(map(_fmt, values)) if all(map(math.isfinite, values)) else None
+    return ",".join(map(repr, values)) if all(map(math.isfinite, values)) else None
 
 
 def _pass_rows(window: list, sched: WeightSchedule, records: slice) -> list[tuple]:
@@ -301,18 +303,24 @@ def _row_cells(blocks, sched: WeightSchedule):
     Each block takes one pass together with the two states before it,
     which gives the cells of every state that then has both neighbors. A
     state is yielded once it has both, or once the blocks end, so only the
-    last two states are held between blocks."""
-    held, first = [], 0
+    last two states are held between blocks. A BlowupError (see _states)
+    ends the blocks read: it is yielded last, with no cells, as a cut."""
+    held, first, lost = [], 0, None
     for block in blocks:
+        lost = block.pop() if isinstance(block[-1], BlowupError) else None
         window, rows = held + block, []
-        if len(window) > 1:
+        if block and len(window) > 1:
             # the first state's row takes its record cells with no budgets
             rows, first = _pass_rows(window, sched, slice(first, -1)), 1
         held = window[-2:]
         del block, window  # hold no more than the two states while the next block comes
         yield from rows
+        if lost:
+            break
     if held:
         yield from _pass_rows(held, sched, slice(-1, None))
+    if lost:
+        yield lost.t, None, None
 
 
 def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | None]:
@@ -327,9 +335,10 @@ def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | No
     two: the two states before a block and the block are all that is held,
     whatever the length of the run. Rows stop before the first state whose
     record cells or budgets are not all finite (near a blowup the cubic
-    functionals overflow first), so no cell is ever inf or nan; `blocks` is
-    read no further than the block that holds the state after it. The bytes
-    do not depend on how the states are grouped into blocks."""
+    functionals overflow first), or whose samples overflow, so no cell is
+    ever inf or nan; `blocks` is read no further than the block that holds
+    the state after it. The bytes do not depend on how the states are
+    grouped into blocks."""
     cur = cut = None  # the (time, record cells, budget cells) of the last state read
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
@@ -361,38 +370,45 @@ class _Stream:
     """One config's run, streamed to a budgets process of its own that runs
     _write_rows on the states, so this process only integrates while the
     other computes every cell of the rows and writes them. Each recorded
-    state crosses the pipe as the bytes t | samples; an empty message ends
-    the stream. `finish` collects the budgets process's result, writes the
-    manifest and returns the exit code."""
+    state crosses a _states_pipe as the bytes t | half spectrum (t | samples
+    for the first), so this process makes no transform per record; an empty
+    message ends the stream. `finish` collects the result from a second
+    pipe, writes the manifest and returns the exit code."""
 
     def __init__(self, cfg: ScenarioConfig, out_dir: str, others: list):
-        """Start the budgets process. `others` are the sending ends of the
+        """Start the budgets process. `others` are the pipe ends of the
         streams started before this one, which the budgets process closes."""
         self.cfg = cfg
         self.records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
         self.manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
         self.started = _now()
-        self.blowup = None
-        self.open = True
+        self.blowup, self.open = None, True
+        self.message = np.empty(cfg.grid.n + 3)  # t | samples or t | half spectrum
         # forked, it starts from this process's memory, where a spawned process
         # would import numpy and the package again
         fork = multiprocessing.get_context("fork")
-        self.conn, child_conn = fork.Pipe()
+        states_in, self.states = _states_pipe(fork)
+        self.results, results_out = fork.Pipe(duplex=False)
         self.consumer = fork.Process(target=_consume, args=(
-            child_conn, self.records_path, cfg, others + [self.conn]))
+            states_in, results_out, self.records_path, cfg, others + [self.states, self.results]))
         self.consumer.start()
-        child_conn.close()
+        states_in.close()
+        results_out.close()
 
-    def send(self, st: TrajectoryState | BlowupError) -> None:
-        """Stream one recorded state. The stream ends at a BlowupError, or
-        once the budgets process stops reading: after a failure, or after
-        the state where it cut the rows."""
-        if isinstance(st, BlowupError):
-            self.blowup = st
+    def send(self, entry) -> None:
+        """Stream one recorded state, an entry of _iter_stack. The stream
+        ends at a BlowupError, or once the budgets process stops reading:
+        after a failure, or after the state where it cut the rows."""
+        if isinstance(entry, BlowupError):
+            self.blowup = entry
             self.end()
             return
+        t, values = entry
+        values = values.view(np.float64)  # a spectrum as its real and imaginary parts
+        message = self.message[:1 + values.size]
+        message[0], message[1:] = t, values
         try:
-            self.conn.send_bytes(np.append(st.t, st.u.samples))
+            self.states.send_bytes(message)
         except ConnectionError:
             self.open = False  # the budgets process stopped reading: finish says why
 
@@ -400,17 +416,15 @@ class _Stream:
         """Send the empty message that ends the stream, unless it has ended."""
         if self.open:
             self.open = False
-            try:
-                self.conn.send_bytes(b"")
-            except ConnectionError:
-                pass
+            with contextlib.suppress(ConnectionError):
+                self.states.send_bytes(b"")
 
     def finish(self, cpu_s: float) -> int:
         """End the stream, wait for the budgets process and write the
         manifest, with `cpu_s` as the integrating process's CPU seconds."""
         self.end()
         try:
-            result = self.conn.recv()
+            result = self.results.recv()
         except (EOFError, ConnectionError):
             result = None
         self.close()
@@ -440,38 +454,67 @@ class _Stream:
         return 3 if aborted else 0
 
     def close(self) -> None:
-        """Close the pipe and wait for the budgets process, which reads the
+        """Close the pipes and wait for the budgets process, which reads the
         close as the end of an unfinished stream."""
-        self.conn.close()
+        self.states.close()
+        self.results.close()
         self.consumer.join()
 
 
-def _consume(conn, path: str, cfg: ScenarioConfig, senders: list) -> None:
+def _states_pipe(context):
+    """A one-way pipe (reading end, sending end) of 1 MiB, any user's default
+    limit, which holds two blocks up to n = 32768: the integrating process
+    sends on while the budgets process works. Where refused, the default size."""
+    reader, sender = context.Pipe(duplex=False)
+    with contextlib.suppress(AttributeError, OSError):
+        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    return reader, sender
+
+
+def _consume(states, results, path: str, cfg: ScenarioConfig, inherited: list) -> None:
     """The budgets process: write the rows of the states a _Stream sends,
     then send back _write_rows' result and this process's CPU seconds, or
     the traceback if it raised. It ends without a word when the sender
     closes the pipe early; for it to see that close, it first closes the
-    sending ends it was forked holding."""
-    for sender in senders:
-        sender.close()
+    pipe ends it was forked holding."""
+    for end in inherited:
+        end.close()
     try:
-        result = (*_write_rows(path, _received(conn, cfg.grid), cfg), _cpu_s())
+        result = (*_write_rows(path, _received(states, cfg.grid), cfg), _cpu_s())
     except EOFError:
         return
     except Exception:
         result = traceback.format_exc()
-    conn.send(result)
+    results.send(result)
 
 
 def _received(conn, grid: Grid):
     """The states a _Stream sends, up to its empty message, in consecutive
-    blocks of max(1, _BLOCK_SAMPLES // n), whatever the timing; the pipe is
-    read no further than the block that holds the state after a cut."""
+    _states blocks of max(1, _BLOCK_SAMPLES // n), whatever the timing; the
+    pipe is read no further than the block that holds the state after a cut."""
     size = max(1, _BLOCK_SAMPLES // grid.n)
     values = (np.frombuffer(message, np.float64) for message in iter(conn.recv_bytes, b""))
-    states = (TrajectoryState(Field(grid, v[1:]), float(v[0])) for v in values)
     # unlike a generator's loop, this holds no block while it reads the next
-    return iter(lambda: list(itertools.islice(states, size)), [])
+    return iter(lambda: _states(grid, list(itertools.islice(values, size))), [])
+
+
+def _states(grid: Grid, values: list) -> list:
+    """The states of a block of messages t | half spectrum (t | samples for
+    a run's first): one stacked irfft, each row bit for bit the 1-D one,
+    inverts the spectra. A state whose samples overflow ends the block as a
+    BlowupError."""
+    spectra = [v[1:] for v in values if v.size > grid.n + 1]
+    samples = [v[1:] for v in values[:len(values) - len(spectra)]]
+    if spectra:
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples += list(np.fft.irfft(np.array(spectra).view(np.complex128), grid.n))
+    states = []
+    for v, s in zip(values, samples):
+        try:
+            states.append(TrajectoryState(Field(grid, s), float(v[0])))
+        except ValueError:  # the step is not sent, and the cut's message does not need it
+            return states + [BlowupError(float(v[0]), None)]
+    return states
 
 
 def _write_json(path: str, obj) -> None:
@@ -514,7 +557,8 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     cpu_s = _cpu_s()
     try:
         for cfg in cfgs:
-            streams.append(_Stream(cfg, out_dir, [s.conn for s in streams]))
+            others = [end for s in streams for end in (s.states, s.results)]
+            streams.append(_Stream(cfg, out_dir, others))
         records = _iter_stack([initial_condition(cfg) for cfg in cfgs], cfgs[0].solver)
         for states in records:
             for stream, st in zip(streams, states):
@@ -536,7 +580,7 @@ def _run_one(task: tuple[list[ScenarioConfig], str]) -> list[int]:
 
 
 # the most configs one stack holds, one per core: each has a budgets process,
-# and a pipe end and a process sentinel open here, for as long as its stack
+# and two pipe ends and a process sentinel open here, for as long as its stack
 # runs, so a sweep of hundreds of configs must not become one stack
 _STACK_MAX = os.cpu_count() or 1
 

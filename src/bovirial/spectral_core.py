@@ -132,15 +132,9 @@ def _band_limited(rng: np.random.Generator, grid: Grid, kmax: int) -> np.ndarray
     return np.fft.irfft(co, grid.n)
 
 
-def _inverse(grid: Grid, spectrum: np.ndarray, symbol: np.ndarray) -> Field:
-    """The Field whose rfft is spectrum * symbol: the return leg of a round trip,
-    so one forward transform can serve several symbols."""
-    return Field(grid, np.fft.irfft(spectrum * symbol, grid.n))
-
-
 def _multiply(f: Field, symbol: np.ndarray) -> Field:
     """One rfft -> multiply by a half-spectrum symbol -> irfft round trip."""
-    return _inverse(f.grid, np.fft.rfft(f.samples), symbol)
+    return Field(f.grid, np.fft.irfft(np.fft.rfft(f.samples) * symbol, f.grid.n))
 
 
 def hilbert(f: Field) -> Field:

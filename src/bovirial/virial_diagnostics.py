@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bo_solver import _flux, _invariants
-from .spectral_core import Field, Grid, _positive, _same_grid, deriv, frac_deriv, hilbert
-# unused here, but perfbench's tracer wraps it as this module's dealias
-from .spectral_core import dealias as spectral_dealias  # noqa: F401
+from .spectral_core import Field, Grid, _positive, _same_grid, frac_deriv
+# unused here, but perfbench's tracer wraps them as this module's operators
+from .spectral_core import dealias as spectral_dealias, deriv, hilbert  # noqa: F401
 
 __all__ = [
     "WeightSchedule",
@@ -57,11 +57,6 @@ def phi(x):
 
 def phi_prime(x):
     return 1.0 / (1.0 + np.square(x))
-
-
-def phi_pp(x):
-    x = np.asarray(x) if not np.isscalar(x) else x
-    return -2.0 * x / np.square(1.0 + np.square(x))
 
 
 @dataclass(frozen=True)
@@ -122,26 +117,6 @@ def window_prime(grid: Grid, lam: float) -> Field:
     """Sampled phi'(x/lam) (no 1/lam chain factor; callers keep those
     explicit)."""
     return Field(grid, phi_prime(grid.coords / _positive(lam, "lam")))
-
-
-def d2x_hilbert_phi(lam: float, grid: Grid) -> Field:
-    """Discrete (d/dx)^2 H image of the sampled window phi(x/lam).
-
-    Across the periodic seam the sampled window jumps by
-    phi(L/(2 lam)) - phi(-L/(2 lam)) = 2 arctan(L/(2 lam)), which a
-    spectral derivative turns into global ringing. A linear ramp carrying
-    that jump is removed first; nothing is added back because a second
-    derivative annihilates affine functions. Since phi' is even, what
-    remains is continuous across the seam in both value and slope, and
-    the sup error on |x| <= L/4 against the rational closed form
-    lam^-2 (1-z^2)/(1+z^2)^2, z = x/lam, is set by the -1/x^2 tail of the
-    image that the finite box cuts off (measured 2.3e-5 at (4096, 400) and
-    5.8e-6 at (8192, 800), for lam = 1, 5 and 20 alike).
-    """
-    jump = 2.0 * np.arctan(grid.length / (2.0 * _positive(lam, "lam")))
-    ramp = jump * (0.5 + grid.coords / grid.length)
-    smooth = Field(grid, phi(grid.coords / lam) - ramp)
-    return deriv(deriv(hilbert(smooth)))
 
 
 @dataclass(frozen=True)
@@ -303,16 +278,17 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid,
     spectrum, dh, z, winp, lam = spectrum[mid], dh[mid], z[mid], winp[mid], lams[mid]
     u, now, zwinp = samples[1:-1], ts[1:-1], z * winp
     before, after = [t - h for t, h in zip(now, hs)], [t + h for t, h in zip(now, hs)]
-    # w and phi(x/lambda) once per distinct time: t - h is the previous row's
-    # time wherever the spacing was exact, and t + h is often the next's
-    row = {}
-    for tau in before + now + after:
-        row.setdefault(tau, len(row))
-    w_tau = np.array([w_at(s, tau) for tau in row])
-    win_tau = phi(g.coords / np.array([lambda_at(s, tau) for tau in row])[:, None])
-    prev, cur, nxt = ([row[tau] for tau in taus] for taus in (before, now, after))
-    w_prev, w, w_next = w_tau[prev], w_tau[cur], w_tau[nxt]
-    win_prev, win, win_next = win_tau[prev], win_tau[cur], win_tau[nxt]
+    # w, phi(x/lambda) and int phi(x/lambda(tau)) rho once per distinct (time,
+    # state): t - h is the previous row's time wherever the spacing was exact,
+    # and t + h is often the next's, so a row's d/dt term reuses the integrals
+    # of its neighbors' a1 and b1
+    pair, (prev, cur, nxt) = {}, ([], [], [])
+    for shift, (taus, index) in enumerate(zip((before, now, after), (prev, cur, nxt))):
+        index.extend(pair.setdefault((tau, i + shift), len(pair)) for i, tau in enumerate(taus))
+    at, of = (list(column) for column in zip(*pair))  # each pair's time and state
+    w_tau = np.array([w_at(s, tau) for tau in at])
+    win_tau = phi(g.coords / np.array([lambda_at(s, tau) for tau in at])[:, None])
+    w_prev, w, w_next, win = w_tau[prev], w_tau[cur], w_tau[nxt], win_tau[cur]
     w_prime = np.array([w_prime_at(s, t) for t in now])
     w_rate = w * (np.array([lambda_prime_at(s, t) for t in now]) / lam)
     two_h = 2.0 * np.asarray(hs, dtype=float)
@@ -321,11 +297,10 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid,
         """For rho the interior rows of `density`, u or u^2 of every row: the
         centered d/dt of w int phi rho, w' int phi rho and
         w (lambda'/lambda) int (x/lambda) phi' rho."""
-        rho = density[1:-1]
-        ddt = (w_next * _weighted_sum(g.spacing, win_next, density[2:])
-               - w_prev * _weighted_sum(g.spacing, win_prev, density[:-2])) / two_h
-        return (ddt, w_prime * _weighted_sum(g.spacing, win, rho),
-                w_rate * _weighted_sum(g.spacing, zwinp, rho))
+        integral = _weighted_sum(g.spacing, win_tau, density[of])
+        ddt = (w_next * integral[nxt] - w_prev * integral[prev]) / two_h
+        return (ddt, w_prime * integral[cur],
+                w_rate * _weighted_sum(g.spacing, zwinp, density[1:-1]))
 
     ux, hux, disp = (np.fft.irfft(spectrum * sym, g.n) for sym in (
         g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym))
@@ -356,15 +331,6 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid,
     energy = {"ddt_term": ddt, "b1": b1, "b2": b2, "b3": b3, "b4": b4, "d31": d31, "d32": d32,
               "d321": d321, "d322": d322, "residual": ddt + b1 + b2 + b3 + b4}
     return record, mass, energy
-
-
-def weighted_dispersive_flux(u: Field, lam: float) -> float:
-    """int phi(x/lam) (H u_xx) u dx, the dispersive contribution to the
-    energy budget before splitting; equals -(d31 + d32/lam)."""
-    g = u.grid
-    win = phi(g.coords / _positive(lam, "lam"))
-    disp = deriv(deriv(hilbert(u)))
-    return float(_weighted_sum(g.spacing, win, disp.samples * u.samples))
 
 
 def integrated_decay(records) -> tuple[float, list[tuple[float, float]]]:

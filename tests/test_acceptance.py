@@ -27,14 +27,16 @@ from bovirial.inequality_harness import (
     run_check,
 )
 from bovirial.spectral_core import Field
-from bovirial.virial_diagnostics import (
-    d2x_hilbert_phi,
-    lambda_at,
-    phi_prime,
-    phi_pp,
-)
+from bovirial.virial_diagnostics import lambda_at, phi_prime
 
-from conftest import CORPUS_LAMBDAS, CORPUS_SEED, FROZEN_CONSTANTS
+from conftest import (
+    CORPUS_LAMBDAS,
+    CORPUS_SEED,
+    FROZEN_CONSTANTS,
+    d2x_hilbert_phi,
+    phi_pp,
+    weighted_dispersive_flux,
+)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -222,8 +224,6 @@ def test_criterion_5_residuals_are_second_order_in_stride(budget_run):
 
 
 def test_criterion_5_internal_identities_at_every_record(budget_run):
-    from bovirial.virial_diagnostics import weighted_dispersive_flux
-
     states, sched = budget_run
     for j in (1, 2, 3):
         mb, eb = _budget_pair(states, sched, j - 1, j, j + 1, 0.005)

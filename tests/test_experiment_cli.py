@@ -100,8 +100,8 @@ def hostile_cfg_text(tmp_path, case):
 
 def sent_states_kept(tmp_path, monkeypatch, prefixes):
     """Run one serial stack of record-every-step configs, one per prefix, and
-    return, for each record, how many earlier sent states are still alive in
-    this process."""
+    return, for each record, how many earlier sent states (the samples at
+    t0, a half spectrum after) are still alive in this process."""
     integrate, refs, kept = experiment_cli._iter_stack, [], []
 
     def watched(fields, solver):
@@ -109,7 +109,7 @@ def sent_states_kept(tmp_path, monkeypatch, prefixes):
         del fields
         for states in records:
             kept.append(sum(r() is not None for r in refs))
-            refs.extend(weakref.ref(st.u) for st in states)
+            refs.extend(weakref.ref(values) for _, values in states)
             yield states
 
     monkeypatch.setattr(experiment_cli, "_iter_stack", watched)
@@ -141,6 +141,33 @@ def blocks_of(states, size):
             block = []
     if block:
         yield block
+
+
+def dense_text(n, steps):
+    """GAUSSIAN_UNEVEN_CFG on n points over `steps` steps, with a record at
+    each: steps + 1 records, evenly spaced."""
+    text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
+    return text.replace("grid.n = 1024", f"grid.n = {n}").replace(
+        "solver.t_end = 2.05", f"solver.t_end = {2.0 + 0.005 * steps!r}")
+
+
+def sent_messages(cfg):
+    """The messages a _Stream sends over its states pipe for cfg's run, up to
+    the empty one that ends the stream."""
+    sent = []
+    stream = object.__new__(experiment_cli._Stream)
+    stream.message, stream.open = np.empty(cfg.grid.n + 3), True
+    stream.states = SimpleNamespace(send_bytes=lambda message: sent.append(bytes(message)))
+    for (entry,) in experiment_cli._iter_stack([experiment_cli.initial_condition(cfg)],
+                                                cfg.solver):
+        stream.send(entry)
+    stream.end()
+    return sent
+
+
+def stub_conn(sent):
+    """A receiving end that returns the messages `sent`, one per recv_bytes."""
+    return SimpleNamespace(recv_bytes=iter(sent).__next__)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -602,48 +629,48 @@ gaussian.width = 2.0
     def test_writer_holds_at_most_three_states(self, tmp_path, monkeypatch):
         # blocks of one: prev, cur and the next state, which completes cur's budgets
         monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
-        assert self.states_held_by_writer(tmp_path) == 3
+        assert self.states_held_by_writer(tmp_path, 10) == 3
 
     def test_writer_holds_a_block_and_two_states(self, tmp_path):
-        # at the default cap, 4 states at n = 2048: the 11 records come in
-        # blocks of 4, 4 and 3, and the two states before a block are held
-        assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 4
-        assert self.states_held_by_writer(tmp_path) == 4 + 2
+        # at the default cap, 16 states at n = 2048: the 41 records come in
+        # blocks of 16, 16 and 9, and the two states before a block are held
+        assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 16
+        assert self.states_held_by_writer(tmp_path, 40) == 16 + 2
 
     def test_reader_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
         # the budgets process's own states, read by _received from the sent
-        # bytes: at n = 2048 (cap 4) the two states before a block and the
-        # block, for the 11 records as for any number; none of a block is
-        # held while the next block is read
-        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
-        text = text.replace("grid.n = 1024", "grid.n = 2048")
-        out = tmp_path / "out"
-        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
-        cfg = build_config(parse_config_text(text))
-        sent = [np.append(st.t, st.u.samples).tobytes()
-                for st in bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)]
-        refs, alive = [], []
+        # messages: at n = 2048 (cap 16) the two states before a block and
+        # the block, for the 41 records as for any number; none of a block is
+        # held while the next block is read. The stacked irfft gives every
+        # state the bits of iter_trajectory's, so the CSV is the one its
+        # states make
+        cfg = build_config(parse_config_text(dense_text(2048, 40)))
+        states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
+        sent = sent_messages(cfg)
+        assert [len(message) for message in sent] == [8 * 2049] + [8 * 2051] * 40 + [0]
+        refs, alive, same = [], [], []
 
         def field(grid, samples):
             made = bv.Field(grid, samples)
             refs.append(weakref.ref(made))
             alive.append(sum(r() is not None for r in refs))
+            same.append(np.array_equal(made.samples, states[len(same)].u.samples))
             return made
 
         monkeypatch.setattr(experiment_cli, "Field", field)
-        conn = SimpleNamespace(recv_bytes=iter(sent + [b""]).__next__)
-        path = tmp_path / "uneven.csv"
+        path, ref = tmp_path / "uneven.csv", tmp_path / "ref.csv"
         assert experiment_cli._write_rows(
-            str(path), experiment_cli._received(conn, cfg.grid), cfg) == (11, None)
-        assert len(alive) == 11 and max(alive) == 4 + 2
-        assert path.read_bytes() == (out / "uneven.csv").read_bytes()
+            str(path), experiment_cli._received(stub_conn(sent), cfg.grid), cfg) == (41, None)
+        assert len(alive) == 41 and max(alive) == 16 + 2 and all(same)
+        assert experiment_cli._write_rows(str(ref), blocks_of(states, 1), cfg) == (41, None)
+        assert path.read_bytes() == ref.read_bytes()
 
     @staticmethod
-    def states_held_by_writer(tmp_path):
+    def states_held_by_writer(tmp_path, steps):
         """The most states alive while _write_rows takes a record-every-step
-        run (n = 2048) in blocks of the cap; its CSV must match a real run's."""
-        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
-        text = text.replace("grid.n = 1024", "grid.n = 2048")
+        run (n = 2048) in blocks of the cap; its CSV must match a real run's,
+        whose states crossed the pipe."""
+        text = dense_text(2048, steps)
         cfg = build_config(parse_config_text(text))
         refs, alive = [], []
 
@@ -655,34 +682,35 @@ gaussian.width = 2.0
 
         path = tmp_path / "uneven.csv"
         cap = max(1, experiment_cli._BLOCK_SAMPLES // cfg.grid.n)
-        assert experiment_cli._write_rows(str(path), blocks_of(states(), cap), cfg) == (11, None)
+        assert experiment_cli._write_rows(str(path), blocks_of(states(), cap), cfg) == (
+            steps + 1, None)
         out = tmp_path / "out"
         assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
         assert path.read_bytes() == (out / "uneven.csv").read_bytes()
         return max(alive)
 
     def test_csv_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
-        # records every other step, at steps 0, 2, ..., 18 and 19: the last
+        # records every other step, at steps 0, 2, ..., 72 and 73: the last
         # spacing is uneven. Written in blocks of one and in blocks of the
-        # default cap (8 at n = 1024: the 11 records in 8 and 3)
+        # default cap (32 at n = 1024: the 38 records in 32 and 6)
         text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 2")
-        text = text.replace("solver.t_end = 2.05", "solver.t_end = 2.095")
+        text = text.replace("solver.t_end = 2.05", "solver.t_end = 2.365")
         cfg = write_cfg(tmp_path, text)
         with monkeypatch.context() as patch:
             patch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "cap")]) == 0
         csvs = [(tmp_path / out / "uneven.csv").read_bytes() for out in ("one", "cap")]
-        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 12
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 39
         _, rows = parse_records(str(tmp_path / "cap" / "uneven.csv"))
-        assert [r["energy_residual"] is None for r in rows] == [True] + [False] * 8 + [True] * 2
+        assert [r["energy_residual"] is None for r in rows] == [True] + [False] * 35 + [True] * 2
 
     def test_pass_schedule_does_not_depend_on_timing(self, tmp_path, monkeypatch):
-        # 11 records at n = 1024, cap 8: blocks of 8 and 3, a _block pass
+        # 41 records at n = 1024, cap 32: blocks of 32 and 9, a _block pass
         # each, then the last state's record pass, both when the budgets
         # process keeps up and when the integration sleeps 20 ms per record
-        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
-        cfg, integrate, csvs = write_cfg(tmp_path, text), experiment_cli._iter_stack, []
+        cfg, csvs = write_cfg(tmp_path, dense_text(1024, 40)), []
+        integrate = experiment_cli._iter_stack
 
         def slow(fields, solver):
             for states in integrate(fields, solver):
@@ -698,11 +726,11 @@ gaussian.width = 2.0
             calls = pids.read_text().split()
             assert len(calls) == 3 and str(os.getpid()) not in calls
             csvs.append((tmp_path / name / "uneven.csv").read_bytes())
-        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 12
+        assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == 42
 
     def test_blowup_cut_inside_a_block(self, tmp_path, monkeypatch, capsys):
         # the record cells overflow at the third state (t = 2.1), the field one
-        # step later; at the default cap (32 at n = 256) the budgets process
+        # step later; at the default cap (128 at n = 256) the budgets process
         # gets the three states in one block, and cuts where blocks of one do,
         # with the same rows, manifest, message (not the blowup's, which the
         # integration met after) and exit code
@@ -746,19 +774,89 @@ gaussian.width = 2.0
         # one pass of 9 per block, for the record and budgets of each state
         # that has both neighbors; the first state's record takes 2 (in the
         # pass with the second state), and so does the last state's, alone
-        text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
-        cfg = build_config(parse_config_text(text))
+        cfg = build_config(parse_config_text(dense_text(1024, 10)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         transforms.clear()
         path = str(tmp_path / "uneven.csv")
         assert experiment_cli._write_rows(path, blocks_of(states, 1), cfg) == (11, None)
         # in blocks of one, 9 for each of the 9 interior rows
         assert transforms == {"rfft": 1 + 9 * 3 + 1, "irfft": 1 + 9 * 6 + 1}
-        # in blocks of the cap, 8 at n = 1024: the 11 states in 8 and 3, one
-        # pass of 9 each, then the last state's 2
+        # in blocks of the cap, 32 at n = 1024: the 11 states in one block,
+        # one pass of 9, then the last state's 2
         transforms.clear()
-        assert experiment_cli._write_rows(path, blocks_of(states, 8), cfg) == (11, None)
-        assert transforms == {"rfft": 2 * 3 + 1, "irfft": 2 * 6 + 1}
+        assert experiment_cli._write_rows(path, blocks_of(states, 32), cfg) == (11, None)
+        assert transforms == {"rfft": 3 + 1, "irfft": 6 + 1}
+        # as the budgets process reads a run of 41 states: blocks of 32 and 9,
+        # each block's half spectra inverted by one stacked irfft, then a pass
+        # of 9 each and the last state's 2
+        cfg = build_config(parse_config_text(dense_text(1024, 40)))
+        sent = sent_messages(cfg)
+        transforms.clear()
+        assert experiment_cli._write_rows(
+            path, experiment_cli._received(stub_conn(sent), cfg.grid), cfg) == (41, None)
+        assert transforms == {"rfft": 2 * 3 + 1, "irfft": 2 + 2 * 6 + 1}
+
+    def test_integration_takes_eight_transforms_a_step_and_none_a_record(self, tmp_path,
+                                                                           transforms):
+        # counted in this process, which integrates a serial run: an rfft of
+        # u0, then per step four flux evaluations of an irfft and an rfft
+        # each, and nothing for the 11 records it sends; the budgets process
+        # counts its own transforms in its forked copy of the counter
+        cfg = write_cfg(tmp_path, dense_text(1024, 10))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert transforms == {"rfft": 1 + 4 * 10, "irfft": 4 * 10}
+
+    @pytest.mark.parametrize("n", [2048, 8192])
+    def test_states_pipe_takes_two_blocks_without_blocking(self, n):
+        # a sending end that would block raises instead: two blocks of
+        # messages t | half spectrum fit in the resized pipe (the default 64
+        # KiB holds four states at n = 2048)
+        reader, sender = experiment_cli._states_pipe(multiprocessing.get_context("fork"))
+        try:
+            os.set_blocking(sender.fileno(), False)
+            message = np.zeros(n + 3)
+            for _ in range(2 * max(1, experiment_cli._BLOCK_SAMPLES // n)):
+                sender.send_bytes(message)
+        finally:
+            reader.close()
+            sender.close()
+
+    @pytest.mark.parametrize("block", [1, 5, None])
+    def test_spectrum_whose_samples_overflow_is_a_cut(self, tmp_path, monkeypatch, capsys,
+                                                      block):
+        # the sixth state is sent as a finite half spectrum whose irfft
+        # overflows: the budgets process meets it, and the rows stop before
+        # it as at any cut, the fifth row without budgets, exit 3. In blocks
+        # of one and of five it is alone in its block or first in it, at the
+        # default cap (32 at n = 1024) amid the one block of 11
+        if block:
+            monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", block * 1024)
+        text = dense_text(1024, 10)
+        cfg = build_config(parse_config_text(text))
+        integrate = experiment_cli._iter_stack
+
+        def overflowing(fields, solver):
+            for k, states in enumerate(integrate(fields, solver)):
+                if k == 5:
+                    ((t, vh),) = states
+                    vh = vh * (1e308 / np.abs(vh).max())
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert np.isfinite(vh).all()
+                        assert not np.isfinite(np.fft.irfft(vh, cfg.grid.n)).all()
+                    states = [(t, vh)]
+                yield states
+
+        monkeypatch.setattr(experiment_cli, "_iter_stack", overflowing)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (f"error: {out / 'uneven.csv'}: diagnostics not "
+                                           f"finite at t=2.025; records stop after 5 states\n")
+        manifest = json.loads((out / "uneven.manifest.json").read_text())
+        assert (manifest["status"], manifest["records"]) == ("aborted", 5)
+        states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)[:5]
+        ref = tmp_path / "ref.csv"
+        assert experiment_cli._write_rows(str(ref), blocks_of(states, 1), cfg) == (5, None)
+        assert (out / "uneven.csv").read_bytes() == ref.read_bytes()
 
     def test_serial_parent_keeps_no_sent_state(self, tmp_path, monkeypatch):
         assert sent_states_kept(tmp_path, monkeypatch, ["uneven"]) == [0] * 11

@@ -60,6 +60,8 @@ UNCALLED_EXPORTS = {
     "energy_budget",  # (experiment_cli imports them for it) until budgets is traced itself
     "run_check",  # tests' single check; perfbench's tracer patches it
     "dealias",  # the 2/3 rule as its own round trip; perfbench's tracer wraps it
+    "hilbert",  # H as its own round trip, for library callers and the tests' reference
+    "deriv",  # helpers; perfbench's tracer wraps both (virial_diagnostics imports them for it)
 }
 
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import bovirial as bv
 from bovirial.spectral_core import Field, make_grid
-from bovirial.virial_diagnostics import phi_prime, phi_pp, window_prime
+from bovirial.virial_diagnostics import phi_prime, window_prime
+
+from conftest import phi_pp
 
 
 def band_limited(grid, coeffs):

@@ -19,13 +19,12 @@ from bovirial.virial_diagnostics import (
     EnergyBudget,
     MassBudget,
     _block,
-    d2x_hilbert_phi,
     phi,
     phi_prime,
-    phi_pp,
-    weighted_dispersive_flux,
     window_prime,
 )
+
+from conftest import d2x_hilbert_phi, phi_pp, weighted_dispersive_flux
 
 
 def window(grid, lam):
@@ -316,7 +315,8 @@ class TestLocalEnergy:
 
 
 # the entry points whose window scale `spectral_core._positive` guards, as (field, lam) -> ...;
-# `window` is this module's own sampler, held to the same rule as window_prime
+# `window` is this module's own sampler, and d2x_hilbert_phi and weighted_dispersive_flux
+# the reference helpers of conftest, held to the same rule as window_prime
 WINDOW_SCALE_USERS = {
     "window": lambda u, lam: window(u.grid, lam),
     "window_prime": lambda u, lam: window_prime(u.grid, lam),
@@ -513,15 +513,15 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("data", ["trajectory", "white noise"])
     def test_blocks_match_one_state_code_bit_for_bit(self, gaussian_small, data):
-        # every block size from 1 to the CSV writer's cap at n = 1024 (8), as
+        # every block size from 1 to the CSV writer's cap at n = 1024 (32), as
         # the writer passes it with the two states before it (records of the
         # interior rows) and at the start of a run (from row 0), and every
         # row's record; white noise fills the top third and Nyquist
         g, s = gaussian_small.grid, bv.WeightSchedule(a=0.25)
         cap = experiment_cli._BLOCK_SAMPLES // g.n
-        assert cap == 8
+        assert cap == 32
         if data == "trajectory":
-            solver = bv.SolverConfig(dt=1e-3, t0=10.0, t_end=10.09, record_every=10)
+            solver = bv.SolverConfig(dt=1e-3, t0=10.0, t_end=10.33, record_every=10)
             states = bv.run_trajectory(gaussian_small, solver)
         else:
             rng = np.random.default_rng(7)
