@@ -13,8 +13,8 @@ temporary directory:
   * `run` on two gaussian configs that blow up (written by this script
     into the temporary directory), serially into `aborted/` and with
     `--jobs 2` into `aborted_jobs2/`, each run expected to exit 3: at
-    amplitude 300 the diagnostics overflow first and the writer cuts the
-    rows, at amplitude 120 the field does and the integrator stops. The
+    amplitude 300 the diagnostics overflow first, at amplitude 120 the
+    field does, and either way the budgets process cuts the rows. The
     two share grid and solver settings, so serially they run as one stack
     and under `--jobs 2` as two stacks of one;
   * `run` on four random configs that share grid and solver settings
@@ -26,8 +26,9 @@ temporary directory:
     step, 301 records each; written by this script), each alone into
     `dense/` and both at once into `dense_stack/` (one stack of two on a
     machine with two cores or more). Every state is a CSV row with
-    budgets, and the budgets process takes the states in blocks of
-    sixteen (32768 // n), each after the first sent as its half spectrum;
+    budgets, and the budgets process, forked holding the first state,
+    takes the others in blocks of sixteen (32768 // n), each sent as its
+    half spectrum;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as

@@ -148,50 +148,47 @@ def bo_rhs(u: Field) -> Field:
 def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
     """Integrate from t0 to t_end, yielding each recorded state as it is made.
 
-    Records are kept at step 0, every `record_every` steps, and at the
-    final step. Absolute time is recomputed from the step counter
-    (t = t0 + step*dt) rather than accumulated, so it never drifts.
-    The generator holds no state it has yielded, so a caller that keeps
-    only a few bounds the memory of any length of run. Non-finite samples
-    raise BlowupError.
+    Records are kept at step 0 (the state is `u0` itself), every
+    `record_every` steps, and at the final step. Absolute time is
+    recomputed from the step counter (t = t0 + step*dt) rather than
+    accumulated, so it never drifts. The generator holds no state it has
+    yielded, so a caller that keeps only a few bounds the memory of any
+    length of run. An unstable dt raises at once, non-finite samples BlowupError.
     """
     g = u0.grid
+    check_stability(cfg, g)
     records = _iter_stack([u0], cfg)
+    yield TrajectoryState(u0, cfg.t0)
     del u0
-    for (entry,) in records:
-        if isinstance(entry, BlowupError):
-            raise entry
-        t, values = entry
+    for ((t, vh),) in records:
         # Field copies the transform's output: kept as is, it made glibc trim and regrow
         # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = np.fft.irfft(values, g.n) if np.iscomplexobj(values) else values
+            samples = np.fft.irfft(vh, g.n)
         try:
             st = TrajectoryState(Field(g, samples), t)
         except ValueError:
             raise BlowupError(t, round((t - cfg.t0) / cfg.dt)) from None
-        del entry, values, samples  # hold no view of the spectrum while the next is made
+        del vh, samples  # hold no view of the spectrum while the next is made
         yield st
         del st
 
 
 def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
-    """`iter_trajectory`'s loop for a stack of fields on one grid: their half
-    spectra advance as one (B, n/2+1) array, each row bit for bit as it
-    would alone, and each record is a list of B entries, one per member:
-    (t0, its samples), then (t, its half spectrum, a row no later step
-    writes to), with no transform, or its BlowupError at the record where
-    its spectrum stops being finite; the member then leaves the stack and
-    its later entries are None. A lone field keeps a 1-D spectrum (a
-    stack of one steps 3-5% slower)."""
+    """`iter_trajectory`'s loop after t0 for a stack of fields on one grid:
+    their half spectra advance as one (B, n/2+1) array, each row bit for
+    bit as it would alone, and each record is a list of B entries, one per
+    member: (t, its half spectrum, a row no later step writes to), with no
+    transform. At the record where a member's spectrum stops being finite
+    its entry is that spectrum; the member then leaves the stack and its
+    later entries are None. A lone field keeps a 1-D spectrum (a stack of
+    one steps 3-5% slower). The caller has checked dt (check_stability)."""
     g = fields[0].grid
     if any((f.grid.n, f.grid.length) != (g.n, g.length) for f in fields):
         raise ValueError("fields live on different grids")
-    check_stability(cfg, g)
     plan = _Plan(g, cfg.dt)
     size = len(fields)
     vh = np.fft.rfft(fields[0].samples if size == 1 else np.array([f.samples for f in fields]))
-    yield [(cfg.t0, f.samples) for f in fields]
     del fields
     members = list(range(size))  # the member each row of vh holds
     done = 0
@@ -203,10 +200,10 @@ def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
         done = k
         t = cfg.t0 + k * cfg.dt
         rows = vh.reshape(len(members), -1)  # a view, also of a 1-D spectrum
-        finite = np.isfinite(rows).all(axis=-1).tolist()
         states = [None] * size
         for row, m in enumerate(members):
-            states[m] = (t, rows[row]) if finite[row] else BlowupError(t, k)
+            states[m] = (t, rows[row])
+        finite = np.isfinite(rows).all(axis=-1).tolist()
         if not all(finite):
             vh, members = rows[finite], [m for m, ok in zip(members, finite) if ok]
         del rows
@@ -278,13 +275,15 @@ def soliton(c: float, x0: float, grid: Grid) -> SolitonParams:
     centered at x0: (amplitude, speed) = (-2c, -c), the member of the scale
     family that satisfies the traveling-wave equation integrated here
     (profile_residual ~1e-16). The textbook pairing (4c, +c) leaves an O(1)
-    residual under these sign conventions.
+    residual under these sign conventions. A width 1/c outside [L/n, L/20]
+    is refused: the box must hold the profile and a cell resolve it.
     """
     if 1.0 / _positive(c, "c") > grid.length / 20.0:
-        raise ValueError(
-            f"profile too wide for the grid: width 1/c = {1.0 / c:g} exceeds "
-            f"length/20 = {grid.length / 20.0:g}"
-        )
+        raise ValueError(f"profile too wide for the grid: width 1/c = {1.0 / c:g} exceeds "
+                         f"length/20 = {grid.length / 20.0:g}")
+    if 1.0 / c < grid.spacing:
+        raise ValueError(f"profile too narrow for the grid: width 1/c = {1.0 / c:g} is below "
+                         f"length/n = {grid.spacing:g}")
     return SolitonParams(amplitude=-2.0 * c, scale=c, center=x0, speed=-c)
 
 

@@ -235,7 +235,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 def initial_condition(cfg: ScenarioConfig) -> Field:
     """The sampled initial field. Raises ValueError on data that cannot
-    start a run (too wide a soliton, non-finite or wrongly sized samples)
+    start a run (too wide or narrow a soliton, non-finite or wrongly sized samples)
     and OSError on an unreadable samples file."""
     grid = cfg.grid
     p = cfg.params
@@ -335,7 +335,7 @@ def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | No
     two: the two states before a block and the block are all that is held,
     whatever the length of the run. Rows stop before the first state whose
     record cells or budgets are not all finite (near a blowup the cubic
-    functionals overflow first), or whose samples overflow, so no cell is
+    functionals overflow first), or whose samples are not, so no cell is
     ever inf or nan; `blocks` is read no further than the block that holds
     the state after it. The bytes do not depend on how the states are
     grouped into blocks."""
@@ -369,44 +369,40 @@ def _cpu_s() -> float:
 class _Stream:
     """One config's run, streamed to a budgets process of its own that runs
     _write_rows on the states, so this process only integrates while the
-    other computes every cell of the rows and writes them. Each recorded
-    state crosses a _states_pipe as the bytes t | half spectrum (t | samples
-    for the first), so this process makes no transform per record; an empty
-    message ends the stream. `finish` collects the result from a second
-    pipe, writes the manifest and returns the exit code."""
+    other computes every cell of the rows and writes them. Forked holding
+    the initial field, it receives each later recorded state over a
+    _states_pipe as the bytes t | half spectrum (no transform here per
+    record); an empty message ends the stream. `finish` collects the result
+    from a second pipe, writes the manifest and returns the exit code."""
 
-    def __init__(self, cfg: ScenarioConfig, out_dir: str, others: list):
-        """Start the budgets process. `others` are the pipe ends of the
-        streams started before this one, which the budgets process closes."""
+    def __init__(self, cfg: ScenarioConfig, u0: Field, out_dir: str, others: list):
+        """Start the budgets process, forked holding `u0`. `others` are the pipe
+        ends of the streams started before this one, which it closes."""
         self.cfg = cfg
         self.records_path = os.path.join(out_dir, cfg.out_prefix + ".csv")
         self.manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
         self.started = _now()
-        self.blowup, self.open = None, True
-        self.message = np.empty(cfg.grid.n + 3)  # t | samples or t | half spectrum
+        self.open = True
+        self.message = np.empty(cfg.grid.n + 3)  # t | half spectrum
         # forked, it starts from this process's memory, where a spawned process
         # would import numpy and the package again
         fork = multiprocessing.get_context("fork")
         states_in, self.states = _states_pipe(fork)
         self.results, results_out = fork.Pipe(duplex=False)
         self.consumer = fork.Process(target=_consume, args=(
-            states_in, results_out, self.records_path, cfg, others + [self.states, self.results]))
+            states_in, results_out, self.records_path, cfg, [u0],
+            others + [self.states, self.results]))
         self.consumer.start()
         states_in.close()
         results_out.close()
 
     def send(self, entry) -> None:
-        """Stream one recorded state, an entry of _iter_stack. The stream
-        ends at a BlowupError, or once the budgets process stops reading:
+        """Stream one recorded state, an entry (t, half spectrum) of
+        _iter_stack. The stream ends once the budgets process stops reading:
         after a failure, or after the state where it cut the rows."""
-        if isinstance(entry, BlowupError):
-            self.blowup = entry
-            self.end()
-            return
         t, values = entry
-        values = values.view(np.float64)  # a spectrum as its real and imaginary parts
-        message = self.message[:1 + values.size]
-        message[0], message[1:] = t, values
+        message = self.message
+        message[0], message[1:] = t, values.view(np.float64)  # real and imaginary parts
         try:
             self.states.send_bytes(message)
         except ConnectionError:
@@ -429,19 +425,16 @@ class _Stream:
             result = None
         self.close()
         rows, cut, budgets_cpu_s = result if isinstance(result, tuple) else (None, None, None)
-        # a cut is at a state sent before any blowup, so the cut is what ends the rows
         if cut is not None:
             print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
                   f"records stop after {rows} states", file=sys.stderr)
-        elif self.blowup is not None:
-            print(f"error: {self.records_path}: {self.blowup}", file=sys.stderr)
         if not isinstance(result, tuple):
             print(f"error: budgets process failed; {self.records_path} keeps the rows "
                   f"written so far, and no manifest is written\n"
                   f"{result or f'it exited with code {self.consumer.exitcode}'}",
                   file=sys.stderr)
             return 1
-        aborted = cut is not None or self.blowup is not None
+        aborted = cut is not None
         _write_json(self.manifest_path, {
             "config": self.cfg.raw,
             "version": __version__,
@@ -471,16 +464,19 @@ def _states_pipe(context):
     return reader, sender
 
 
-def _consume(states, results, path: str, cfg: ScenarioConfig, inherited: list) -> None:
-    """The budgets process: write the rows of the states a _Stream sends,
-    then send back _write_rows' result and this process's CPU seconds, or
-    the traceback if it raised. It ends without a word when the sender
-    closes the pipe early; for it to see that close, it first closes the
-    pipe ends it was forked holding."""
+def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
+             inherited: list) -> None:
+    """The budgets process: write the rows of the field it takes out of
+    `held`, a list of one, and of the states a _Stream sends, then send back
+    _write_rows' result and its CPU seconds, or the traceback if it raised.
+    It ends without a word when the sender closes the pipe early, having
+    first closed the pipe ends it was forked holding, so that it sees that."""
     for end in inherited:
         end.close()
+    first = iter([[TrajectoryState(held.pop(), cfg.solver.t0)]])  # u0 dropped after its pass
+    blocks = itertools.chain(first, _received(states, cfg.grid))
     try:
-        result = (*_write_rows(path, _received(states, cfg.grid), cfg), _cpu_s())
+        result = (*_write_rows(path, blocks, cfg), _cpu_s())
     except EOFError:
         return
     except Exception:
@@ -499,15 +495,14 @@ def _received(conn, grid: Grid):
 
 
 def _states(grid: Grid, values: list) -> list:
-    """The states of a block of messages t | half spectrum (t | samples for
-    a run's first): one stacked irfft, each row bit for bit the 1-D one,
-    inverts the spectra. A state whose samples overflow ends the block as a
-    BlowupError."""
-    spectra = [v[1:] for v in values if v.size > grid.n + 1]
-    samples = [v[1:] for v in values[:len(values) - len(spectra)]]
-    if spectra:
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples += list(np.fft.irfft(np.array(spectra).view(np.complex128), grid.n))
+    """The states of a block of messages t | half spectrum: one stacked
+    irfft, each row bit for bit the 1-D one, inverts the spectra. A state
+    whose samples are not finite (its spectrum or its irfft overflowed)
+    ends the block as a BlowupError, the cut _row_cells reads."""
+    if not values:  # the read after the last block
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.fft.irfft(np.array([v[1:] for v in values]).view(np.complex128), grid.n)
     states = []
     for v, s in zip(values, samples):
         try:
@@ -548,21 +543,25 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     """Run a stack of configs that share grid and solver settings into an
     existing output directory, and return their exit codes. The stack
     integrates as one (B, n/2+1) half spectrum, a lone config as a 1-D one.
-    Each config streams to its own budgets process, which writes its
-    records CSV as the run goes, then gets its manifest; it ends alone, on
-    a blowup or once its budgets process stops reading (it cut the rows
-    or failed), while the others run on. The manifests carry the CPU
-    seconds this process spent on the stack."""
+    Each config streams to its own budgets process, forked holding its
+    initial field, which writes its records CSV and makes every cut; its
+    stream ends alone, after its spectrum stops being finite or once its
+    budgets process stops reading. The manifests carry the CPU seconds this
+    process spent on the stack."""
     streams: list[_Stream] = []
     cpu_s = _cpu_s()
+    fields = [initial_condition(cfg) for cfg in cfgs]
     try:
-        for cfg in cfgs:
+        for cfg, u0 in zip(cfgs, fields):
             others = [end for s in streams for end in (s.states, s.results)]
-            streams.append(_Stream(cfg, out_dir, others))
-        records = _iter_stack([initial_condition(cfg) for cfg in cfgs], cfgs[0].solver)
+            streams.append(_Stream(cfg, u0, out_dir, others))
+        records = _iter_stack(fields, cfgs[0].solver)
+        del fields, u0
         for states in records:
             for stream, st in zip(streams, states):
-                if stream.open:
+                if st is None:
+                    stream.end()
+                elif stream.open:
                     stream.send(st)
             del states, st  # hold no sent state while the next is integrated
             if not any(stream.open for stream in streams):

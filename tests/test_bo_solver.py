@@ -63,6 +63,18 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             bv.SolverConfig(dt=3e-3, t0=2.0, t_end=2.01)
 
+    def test_first_state_is_u0_bit_for_bit(self, grid_small):
+        u0 = gaussian(grid_small, 0.3, 5.0)
+        first = bv.run_trajectory(u0, bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.01))[0]
+        assert first.t == 2.0 and first.u.samples.tobytes() == u0.samples.tobytes()
+
+    def test_unstable_dt_raises_before_the_first_state(self, grid_small):
+        # u0 is yielded before any step is taken, so the check cannot wait for one
+        limit = grid_small.length / (math.pi * grid_small.n)
+        bad = bv.SolverConfig(dt=1.1 * limit, t0=2.0, t_end=2.0 + 11.0 * limit)
+        with pytest.raises(ValueError, match="stability bound"):
+            next(bv.iter_trajectory(gaussian(grid_small, 0.3, 5.0), bad))
+
     def test_one_step_quotient_converges_to_rhs(self, gaussian_small):
         # the integrator and bo_rhs build the same flux, so the forward
         # difference quotient of one step tends to bo_rhs(u0) at first order
@@ -189,33 +201,37 @@ class TestStack:
         assert all(np.array_equal(stack[i], rows[i]) for i in range(3))
 
     def test_stack_records_match_lone_runs(self, grid_small):
-        # the middle member blows up and leaves the stack; the others run on,
-        # each record bit for bit the one its lone run makes: the samples at
-        # t0, then the half spectrum whose irfft is the lone run's state
+        # the middle member's spectrum stops being finite and it leaves the
+        # stack; the others run on. Each record after t0 is the half spectrum
+        # whose irfft is bit for bit the lone run's state
         fields = [gaussian(grid_small, 0.5, 4.0), gaussian(grid_small, 1e120, 2.0),
                   gaussian(grid_small, -0.3, 6.0, 20.0)]
         cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.1, record_every=10)
         records = list(_iter_stack(fields, cfg))
-        assert len(records) == 11 and all(len(r) == 3 for r in records)
+        assert len(records) == 10 and all(len(r) == 3 for r in records)
         for i in (0, 2):
             alone = bv.run_trajectory(fields[i], cfg)
-            assert [r[i][0] for r in records] == [st.t for st in alone]
-            assert records[0][i][1] is fields[i].samples
+            assert [r[i][0] for r in records] == [st.t for st in alone[1:]]
             assert all(np.array_equal(np.fft.irfft(r[i][1], grid_small.n), st.u.samples)
-                       for r, st in zip(records[1:], alone[1:]))
+                       for r, st in zip(records, alone[1:]))
         with pytest.raises(BlowupError) as alone:
             bv.run_trajectory(fields[1], cfg)
-        kinds = [type(r[1]) for r in records]
-        cut = kinds.index(BlowupError)
-        assert kinds == [tuple] * cut + [BlowupError] + [type(None)] * (10 - cut)
-        assert (records[cut][1].t, records[cut][1].step) == (alone.value.t, alone.value.step)
+        # a finite spectrum at each record before the blowup record, that
+        # record's non-finite one, then None
+        finite = [r[1] is not None and bool(np.isfinite(r[1][1]).all()) for r in records]
+        cut = finite.index(False)
+        assert records[cut][1] is not None
+        assert all(r[1] is None for r in records[cut + 1:])
+        t, _ = records[cut][1]
+        assert (t, cfg.record_every * (cut + 1)) == (alone.value.t, alone.value.step)
 
     def test_stack_ends_when_every_member_has(self, grid_small):
         fields = [gaussian(grid_small, 1e120, 2.0)] * 2
         cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=3.0, record_every=10)
-        records = list(_iter_stack(fields, cfg))
-        assert [type(st) for st in records[-1]] == [BlowupError] * 2
-        assert len(records) < 101
+        *before, last = _iter_stack(fields, cfg)
+        assert all(np.isfinite(vh).all() for states in before for _, vh in states)
+        assert all(not np.isfinite(vh).all() for _, vh in last)
+        assert len(before) + 1 < 100
 
     def test_stack_on_two_grids_rejected(self, grid_small, grid_medium):
         cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.1)
@@ -272,8 +288,16 @@ class TestSolitonFamily:
 
     def test_rejects_too_wide_profile(self):
         g = bv.make_grid(256, 100.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^profile too wide for the grid: width 1/c = 10 "
+                                             r"exceeds length/20 = 5$"):
             bv.soliton(0.1, 0.0, g)  # width 10 > L/20
+
+    def test_rejects_profile_narrower_than_a_grid_cell(self):
+        g = bv.make_grid(256, 128.0)
+        assert bv.soliton(2.0, 0.0, g).scale == 2.0  # width 1/c = L/n = 0.5
+        with pytest.raises(ValueError, match=r"^profile too narrow for the grid: width 1/c = 0\.4 "
+                                             r"is below length/n = 0\.5$"):
+            bv.soliton(2.5, 0.0, g)
 
     def test_certified_residual_at_machine_level(self, grid_medium):
         for b in (0.5, 1.0, 2.0, 4.0):

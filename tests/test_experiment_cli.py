@@ -80,6 +80,8 @@ output.prefix = blowup_{amp}
 HOSTILE_INITIAL_DATA = {
     "custom_wrong_size": "scenario = custom\ncustom.samples_file = {short}\n",
     "soliton_too_wide": "scenario = soliton\nsoliton.c = 0.05\n",
+    # width 1/c = 0.1 below the grid spacing L/n = 0.195: a spike, not a wave
+    "soliton_too_narrow": "scenario = soliton\nsoliton.c = 10.0\n",
     "gaussian_nan": "scenario = gaussian\ngaussian.amplitude = nan\ngaussian.width = 2.0\n",
     "random_overflow": "scenario = random\nrandom.amplitude = 1e308\n",
     # a centre outside the box [-L/2, L/2) = [-100, 100) would give
@@ -100,8 +102,8 @@ def hostile_cfg_text(tmp_path, case):
 
 def sent_states_kept(tmp_path, monkeypatch, prefixes):
     """Run one serial stack of record-every-step configs, one per prefix, and
-    return, for each record, how many earlier sent states (the samples at
-    t0, a half spectrum after) are still alive in this process."""
+    return, for each record after t0, how many earlier sent states (half
+    spectra) are still alive in this process."""
     integrate, refs, kept = experiment_cli._iter_stack, [], []
 
     def watched(fields, solver):
@@ -168,6 +170,18 @@ def sent_messages(cfg):
 def stub_conn(sent):
     """A receiving end that returns the messages `sent`, one per recv_bytes."""
     return SimpleNamespace(recv_bytes=iter(sent).__next__)
+
+
+def consumed(path, cfg, held, sent):
+    """_write_rows' result as the budgets process of cfg's run computes it in
+    this process: forked holding the initial field, the one item of `held`,
+    it reads the messages `sent`."""
+    results = []
+    experiment_cli._consume(stub_conn(sent), SimpleNamespace(send=results.append), str(path),
+                            cfg, held, [])
+    (result,) = results
+    assert isinstance(result, tuple), result
+    return result[:2]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -401,7 +415,8 @@ gaussian.width = 2.0
     def test_stacked_blowups_write_what_lone_runs_write(self, tmp_path, monkeypatch, capsys):
         # scripts/compare_outputs.py's blowup pair shares grid, dt and span, so a
         # serial run integrates it as one stack: at amplitude 300 the record cells
-        # overflow first, at 120 the field does, and each ends only its own run
+        # overflow first, at 120 the field does, and each ends only its own run,
+        # both cut by their budgets process
         integrate, firsts = experiment_cli._iter_stack, []
 
         def logged(fields, solver):
@@ -417,11 +432,11 @@ gaussian.width = 2.0
         assert [len(fields) for fields in firsts] == [2]
         # each message names the records of the config it ends
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
-        assert any(line.startswith(f"error: {stacked / 'blowup_300.csv'}: diagnostics not "
-                                   f"finite at t=") for line in err)
-        assert any(line.startswith(f"error: {stacked / 'blowup_120.csv'}: non-finite field "
-                                   f"detected at t=") for line in err)
+        assert sorted(err) == [
+            f"error: {stacked / 'blowup_120.csv'}: diagnostics not finite at t=2.15; "
+            f"records stop after 3 states",
+            f"error: {stacked / 'blowup_300.csv'}: diagnostics not finite at t=2.1; "
+            f"records stop after 2 states"]
         for amp, path in zip((300, 120), paths):
             alone = tmp_path / f"alone{amp}"
             assert main(["run", "--config", path, "--out", str(alone)]) == 3
@@ -433,6 +448,34 @@ gaussian.width = 2.0
                 assert manifest.pop("started") and manifest.pop("finished")
                 assert set(manifest.pop("cpu_s")) == {"integrating", "budgets"}
             assert manifests[0] == manifests[1] and manifests[0]["status"] == "aborted"
+
+    def test_stacked_blowup_ends_its_stream_at_once(self, tmp_path, monkeypatch):
+        # the field at amplitude 120 blows up at its third record, amid a block
+        # of the budgets process (128 at n = 256); its stream ends at the next
+        # record, so its budgets process cuts and exits while the stable
+        # member still integrates
+        start, integrate, streams, exits = experiment_cli._Stream.__init__, \
+            experiment_cli._iter_stack, [], []
+
+        def kept(self, *args):
+            start(self, *args)
+            streams.append(self)
+
+        def stack(fields, solver):
+            for states in integrate(fields, solver):
+                yield states
+            streams[0].consumer.join(timeout=20)
+            exits.append(streams[0].consumer.exitcode)
+
+        monkeypatch.setattr(experiment_cli._Stream, "__init__", kept)
+        monkeypatch.setattr(experiment_cli, "_iter_stack", stack)
+        paths = [write_cfg(tmp_path, BLOWUP_CFG.format(amp=amp), f"{amp}.cfg")
+                 for amp in (120, 1)]
+        assert main(["run", "--config", paths[0], "--config", paths[1],
+                     "--out", str(tmp_path / "out")]) == 3
+        assert exits == [0]
+        manifest = json.loads((tmp_path / "out" / "blowup_1.manifest.json").read_text())
+        assert (manifest["status"], manifest["records"]) == ("completed", 201)
 
     def test_error_while_streaming_ends_every_budgets_process(self, tmp_path, monkeypatch):
         # the error closes every pipe, and each budgets process reads that as the
@@ -638,30 +681,33 @@ gaussian.width = 2.0
         assert self.states_held_by_writer(tmp_path, 40) == 16 + 2
 
     def test_reader_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
-        # the budgets process's own states, read by _received from the sent
-        # messages: at n = 2048 (cap 16) the two states before a block and
-        # the block, for the 41 records as for any number; none of a block is
-        # held while the next block is read. The stacked irfft gives every
-        # state the bits of iter_trajectory's, so the CSV is the one its
-        # states make
+        # the budgets process's own states: u0, which it is forked holding,
+        # then those _received reads from the sent messages. At n = 2048
+        # (cap 16) it holds the two states before a block and the block, for
+        # the 41 records as for any number: u0 and the first block for the
+        # first pass, after which u0 is let go; none of a block is held while
+        # the next block is read. The stacked irfft gives every state the
+        # bits of iter_trajectory's, so the CSV is the one its states make
         cfg = build_config(parse_config_text(dense_text(2048, 40)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         sent = sent_messages(cfg)
-        assert [len(message) for message in sent] == [8 * 2049] + [8 * 2051] * 40 + [0]
-        refs, alive, same = [], [], []
+        assert [len(message) for message in sent] == [8 * 2051] * 40 + [0]
+        held = [bv.Field(cfg.grid, states[0].u.samples)]  # a copy that only `held` keeps
+        refs, alive, same = [weakref.ref(held[0])], [], []
 
         def field(grid, samples):
             made = bv.Field(grid, samples)
             refs.append(weakref.ref(made))
-            alive.append(sum(r() is not None for r in refs))
-            same.append(np.array_equal(made.samples, states[len(same)].u.samples))
+            alive.append([r() is not None for r in refs])
+            same.append(np.array_equal(made.samples, states[1 + len(same)].u.samples))
             return made
 
         monkeypatch.setattr(experiment_cli, "Field", field)
         path, ref = tmp_path / "uneven.csv", tmp_path / "ref.csv"
-        assert experiment_cli._write_rows(
-            str(path), experiment_cli._received(stub_conn(sent), cfg.grid), cfg) == (41, None)
-        assert len(alive) == 41 and max(alive) == 16 + 2 and all(same)
+        assert consumed(path, cfg, held, sent) == (41, None)
+        assert held == [] and len(alive) == 40 and all(same)
+        assert [kept[0] for kept in alive] == [True] * 16 + [False] * 24
+        assert max(map(sum, alive)) == 16 + 2
         assert experiment_cli._write_rows(str(ref), blocks_of(states, 1), cfg) == (41, None)
         assert path.read_bytes() == ref.read_bytes()
 
@@ -786,14 +832,14 @@ gaussian.width = 2.0
         transforms.clear()
         assert experiment_cli._write_rows(path, blocks_of(states, 32), cfg) == (11, None)
         assert transforms == {"rfft": 3 + 1, "irfft": 6 + 1}
-        # as the budgets process reads a run of 41 states: blocks of 32 and 9,
-        # each block's half spectra inverted by one stacked irfft, then a pass
-        # of 9 each and the last state's 2
+        # as the budgets process reads a run of 41 states: u0, which it is
+        # forked holding, then the 40 sent in blocks of 32 and 8, each block's
+        # half spectra inverted by one stacked irfft; a pass of 9 for u0 and
+        # the first block, one for the second, and the last state's 2
         cfg = build_config(parse_config_text(dense_text(1024, 40)))
         sent = sent_messages(cfg)
         transforms.clear()
-        assert experiment_cli._write_rows(
-            path, experiment_cli._received(stub_conn(sent), cfg.grid), cfg) == (41, None)
+        assert consumed(path, cfg, [experiment_cli.initial_condition(cfg)], sent) == (41, None)
         assert transforms == {"rfft": 2 * 3 + 1, "irfft": 2 + 2 * 6 + 1}
 
     def test_integration_takes_eight_transforms_a_step_and_none_a_record(self, tmp_path,
@@ -824,11 +870,11 @@ gaussian.width = 2.0
     @pytest.mark.parametrize("block", [1, 5, None])
     def test_spectrum_whose_samples_overflow_is_a_cut(self, tmp_path, monkeypatch, capsys,
                                                       block):
-        # the sixth state is sent as a finite half spectrum whose irfft
-        # overflows: the budgets process meets it, and the rows stop before
-        # it as at any cut, the fifth row without budgets, exit 3. In blocks
-        # of one and of five it is alone in its block or first in it, at the
-        # default cap (32 at n = 1024) amid the one block of 11
+        # the sixth state, the fifth sent, is a finite half spectrum whose
+        # irfft overflows: the budgets process meets it, and the rows stop
+        # before it as at any cut, the fifth row without budgets, exit 3. It
+        # is alone in its block in blocks of one, last in it in blocks of
+        # five, and amid the one block of 10 at the default cap (32 at n = 1024)
         if block:
             monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", block * 1024)
         text = dense_text(1024, 10)
@@ -836,7 +882,7 @@ gaussian.width = 2.0
         integrate = experiment_cli._iter_stack
 
         def overflowing(fields, solver):
-            for k, states in enumerate(integrate(fields, solver)):
+            for k, states in enumerate(integrate(fields, solver), start=1):
                 if k == 5:
                     ((t, vh),) = states
                     vh = vh * (1e308 / np.abs(vh).max())
@@ -859,10 +905,10 @@ gaussian.width = 2.0
         assert (out / "uneven.csv").read_bytes() == ref.read_bytes()
 
     def test_serial_parent_keeps_no_sent_state(self, tmp_path, monkeypatch):
-        assert sent_states_kept(tmp_path, monkeypatch, ["uneven"]) == [0] * 11
+        assert sent_states_kept(tmp_path, monkeypatch, ["uneven"]) == [0] * 10
 
     def test_serial_parent_keeps_no_sent_state_of_a_stack(self, tmp_path, monkeypatch):
-        assert sent_states_kept(tmp_path, monkeypatch, ["uneven", "uneven2"]) == [0] * 11
+        assert sent_states_kept(tmp_path, monkeypatch, ["uneven", "uneven2"]) == [0] * 10
 
     def test_stacks_hold_at_most_stack_max_configs(self, tmp_path, monkeypatch):
         # five compatible configs run serially as stacks of 2, 2 and 1, one
@@ -905,6 +951,25 @@ gaussian.width = 2.0
         assert "bad.cfg" in capsys.readouterr().err
         assert os.path.isfile(os.path.join(out, "wave.csv"))
         assert glob.glob(os.path.join(out, "bad.*")) == []
+
+    def test_soliton_narrower_than_a_grid_cell_exits_2_at_load(self, tmp_path, capsys):
+        # unchecked, it sampled a single spike (I1 = -390.66, not the wave's
+        # -2 pi) and aborted with exit 3 after 2 rows
+        text = """\
+scenario = soliton
+grid.n = 256
+grid.length = 100.0
+solver.dt = 0.01
+solver.t0 = 2.0
+solver.t_end = 2.02
+soliton.c = 500.0
+"""
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: profile too narrow for the grid: width 1/c = 0.002 is below "
+            f"length/n = 0.390625\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_duplicate_prefix_exits_2_before_any_run(self, tmp_path, capsys, jobs):
@@ -1206,3 +1271,10 @@ class TestSolitonTest:
 
     def test_invalid_speed_exits_2(self, capsys):
         assert main(["soliton-test", "--c", "-1.0"]) == 2
+
+    def test_soliton_narrower_than_a_grid_cell_exits_2(self, capsys):
+        # unchecked, the profile overflowed and the residual read nan (exit 3)
+        assert main(["soliton-test", "--c", "1e160"]) == 2
+        assert capsys.readouterr().err == (
+            "error: profile too narrow for the grid: width 1/c = 1e-160 is below "
+            "length/n = 0.0976562\n")

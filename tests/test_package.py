@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, the package exports
 exactly its layers' own lists, every attribute the benchmark looks up
-resolves, and every export is called in src or kept for a stated reason."""
+resolves, and every export, like every other module-level def and class,
+is called in src or kept for a stated reason."""
 
 import ast
 import importlib
@@ -78,7 +79,20 @@ def _loaded_names(path):
 
 
 def test_every_export_is_called_in_src():
-    loaded = set().union(*map(_loaded_names, (ROOT / "src" / "bovirial").glob("*.py")))
+    paths = sorted((ROOT / "src" / "bovirial").glob("*.py"))
+    loaded = set().union(*map(_loaded_names, paths))
     assert sorted(set(bovirial.__all__) - loaded - UNCALLED_EXPORTS) == []
     # an allowlist entry that gains a caller is dropped from the list
     assert sorted(loaded & UNCALLED_EXPORTS) == []
+    # every module-level def and class, private helpers included, is loaded
+    # by src code, or is an export of its module that the allowlist keeps
+    unused = []
+    for path in paths:
+        module = importlib.import_module(
+            "bovirial" if path.stem == "__init__" else f"bovirial.{path.stem}")
+        unused += [f"{path.stem}.{node.name}"
+                   for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name not in loaded
+                   and not (node.name in module.__all__ and node.name in UNCALLED_EXPORTS)]
+    assert unused == []
