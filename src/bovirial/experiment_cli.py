@@ -49,9 +49,7 @@ import numpy as np
 
 from . import __version__
 from .bo_solver import (
-    BlowupError,
     SolverConfig,
-    TrajectoryState,
     _iter_stack,
     check_stability,
     l1_growth_fit,
@@ -272,92 +270,59 @@ def _joined(values) -> str | None:
     return ",".join(map(repr, values)) if all(map(math.isfinite, values)) else None
 
 
-def _pass_rows(window: list, sched: WeightSchedule, records: slice) -> list[tuple]:
-    """One _block pass over `window`, consecutive states: the time, record
-    cells and budget cells of each row that `records` selects. Budget cells
-    are "," and the cells, or _NO_BUDGET where the row lacks two equally
-    spaced neighbors; cells are None where a value is not finite."""
-    ts = [st.t for st in window]
-    hs = [b - a for a, b in zip(ts, ts[1:])]
-    with np.errstate(over="ignore", invalid="ignore"):
-        record, mass, energy = _block(np.array([st.u.samples for st in window]), ts, hs[:-1],
-                                      sched, window[0].u.grid, records)
-    if mass is not None:
-        terms = np.column_stack([mass[name] for name in _MASS_CELLS]
-                                + [energy[name] for name in _ENERGY_CELLS]).tolist()
-    values = np.column_stack([record[name] for name in _RECORD_CELLS]).tolist()
-    rows = []
-    for j, cells in enumerate(map(_joined, values), start=records.indices(len(ts))[0]):
-        budget = _NO_BUDGET
-        if 0 < j < len(ts) - 1 and abs(hs[j] - hs[j - 1]) <= 1e-9 * max(hs[j - 1], hs[j]):
-            terms_j = _joined(terms[j - 1])
-            budget = None if terms_j is None else "," + terms_j
-        rows.append((ts[j], cells, budget))
-    return rows
-
-
-def _row_cells(blocks, sched: WeightSchedule):
-    """For each state of `blocks`, lists of consecutive states, yield its
-    time, record cells and budget cells (see _pass_rows).
-
-    Each block takes one pass together with the two states before it,
-    which gives the cells of every state that then has both neighbors. A
-    state is yielded once it has both, or once the blocks end, so only the
-    last two states are held between blocks. A BlowupError (see _states)
-    ends the blocks read: it is yielded last, with no cells, as a cut."""
-    held, first, lost = [], 0, None
-    for block in blocks:
-        lost = block.pop() if isinstance(block[-1], BlowupError) else None
-        window, rows = held + block, []
-        if block and len(window) > 1:
-            # the first state's row takes its record cells with no budgets
-            rows, first = _pass_rows(window, sched, slice(first, -1)), 1
-        held = window[-2:]
-        del block, window  # hold no more than the two states while the next block comes
-        yield from rows
-        if lost:
-            break
-    if held:
-        yield from _pass_rows(held, sched, slice(-1, None))
-    if lost:
-        yield lost.t, None, None
-
-
 def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | None]:
-    """Write one CSV line per state of `blocks`, lists of consecutive
-    recorded states, with the cells _row_cells computes; each line is
-    flushed as it is written. Return the row count, and the time of the
-    first state left out (None when none is).
+    """Write one CSV line per state of `blocks`, (times, samples) pairs of
+    consecutive recorded states; each line is flushed as it is written.
+    Return the row count, and the time of the first state left out (None
+    when none is).
 
-    A row's budget cells are filled where its state has two equally spaced
-    neighbors. A row is written once the next state's record cells are
-    known, which takes the state after that, so rows trail the states by
-    two: the two states before a block and the block are all that is held,
-    whatever the length of the run. Rows stop before the first state whose
-    record cells or budgets are not all finite (near a blowup the cubic
-    functionals overflow first), or whose samples are not, so no cell is
-    ever inf or nan; `blocks` is read no further than the block that holds
-    the state after it. The bytes do not depend on how the states are
-    grouped into blocks."""
-    cur = cut = None  # the (time, record cells, budget cells) of the last state read
+    Each block takes one _block pass in a window with the two states
+    before it, which gives the record cells of every state in the window
+    and the budget cells of each state that has both neighbors there. A
+    state is written once its next state is in a window, and the last
+    state once the blocks end, so a row waits for at most one block, and
+    the two states before a block, the block and their window are all that
+    is held, whatever the length of the run. A row's budget cells are
+    filled where its state has two equally spaced neighbors and the next
+    state's record cells are finite. Rows stop at the first state whose
+    record cells or budget cells are not all finite (near a blowup the
+    cubic functionals overflow first, and samples that are not finite make
+    L1 so), so no cell is ever inf or nan; `blocks` is read no further than
+    the block that holds the state after it. The bytes do not depend on
+    how the states are grouped into blocks."""
+    held_ts, held = [], np.empty((0, cfg.grid.n))  # the two states before a block
     rows = 0
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for t, cells, budget in _row_cells(blocks, cfg.weight):
-            if cells is None:
-                cut = t
-                break
-            if cur is not None:
-                cur_t, cur_cells, cur_budget = cur
-                if cur_budget is None:
-                    return rows, cur_t
-                fh.write(cur_cells + cur_budget + "\n")
+        for times, samples in blocks:
+            ts, window = held_ts + list(times), np.concatenate((held, samples))
+            hs = [b - a for a, b in zip(ts, ts[1:])]
+            with np.errstate(over="ignore", invalid="ignore"):
+                record, mass, energy = _block(window, ts, hs[:-1], cfg.weight, cfg.grid)
+            cells = list(map(_joined, np.column_stack(
+                [record[name] for name in _RECORD_CELLS]).tolist()))
+            if mass is not None:
+                terms = np.column_stack([mass[name] for name in _MASS_CELLS]
+                                        + [energy[name] for name in _ENERGY_CELLS]).tolist()
+            for j in range(max(len(held_ts) - 1, 0), len(ts)):  # from the first unwritten
+                if cells[j] is None:
+                    return rows, ts[j]
+                if j == len(ts) - 1:  # written once its next state is read
+                    break
+                budget = _NO_BUDGET
+                if j and cells[j + 1] and abs(hs[j] - hs[j - 1]) <= 1e-9 * max(hs[j - 1], hs[j]):
+                    budget = _joined(terms[j - 1])
+                    if budget is None:
+                        return rows, ts[j]
+                    budget = "," + budget
+                fh.write(cells[j] + budget + "\n")
                 rows += 1
-            cur = t, cells, budget
-        if cur is not None:
-            fh.write(cur[1] + _NO_BUDGET + "\n")
+            held_ts, held = ts[-2:], window[-2:].copy()
+            del samples, window  # hold no more than the two states while the next block comes
+        if held_ts:
+            fh.write(cells[-1] + _NO_BUDGET + "\n")
             rows += 1
-    return rows, cut
+    return rows, None
 
 
 def _cpu_s() -> float:
@@ -469,11 +434,12 @@ def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
     """The budgets process: write the rows of the field it takes out of
     `held`, a list of one, and of the states a _Stream sends, then send back
     _write_rows' result and its CPU seconds, or the traceback if it raised.
-    It ends without a word when the sender closes the pipe early, having
-    first closed the pipe ends it was forked holding, so that it sees that."""
+    The field is a block of its own, let go after its pass. It ends
+    without a word when the sender closes the pipe early, having first
+    closed the pipe ends it was forked holding, so that it sees that."""
     for end in inherited:
         end.close()
-    first = iter([[TrajectoryState(held.pop(), cfg.solver.t0)]])  # u0 dropped after its pass
+    first = iter([([cfg.solver.t0], held.pop().samples[None])])  # emptied, it lets u0 go
     blocks = itertools.chain(first, _received(states, cfg.grid))
     try:
         result = (*_write_rows(path, blocks, cfg), _cpu_s())
@@ -485,31 +451,25 @@ def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
 
 
 def _received(conn, grid: Grid):
-    """The states a _Stream sends, up to its empty message, in consecutive
-    _states blocks of max(1, _BLOCK_SAMPLES // n), whatever the timing; the
-    pipe is read no further than the block that holds the state after a cut."""
+    """The states a _Stream sends, up to its empty message, as (times,
+    samples) blocks of max(1, _BLOCK_SAMPLES // n) consecutive states,
+    whatever the timing. A block's half spectra are stacked with one copy
+    and inverted by one stacked irfft, each row bit for bit the 1-D one;
+    samples that overflow are left for _write_rows to cut at. The pipe is
+    read no further than the block that holds the state after a cut."""
     size = max(1, _BLOCK_SAMPLES // grid.n)
     values = (np.frombuffer(message, np.float64) for message in iter(conn.recv_bytes, b""))
+
+    def block():
+        spectra = list(itertools.islice(values, size))
+        if spectra:  # else the read after the last block, which ends the blocks
+            with np.errstate(over="ignore", invalid="ignore"):
+                samples = np.fft.irfft(np.array([v[1:] for v in spectra]).view(np.complex128),
+                                       grid.n)
+            return [float(v[0]) for v in spectra], samples
+
     # unlike a generator's loop, this holds no block while it reads the next
-    return iter(lambda: _states(grid, list(itertools.islice(values, size))), [])
-
-
-def _states(grid: Grid, values: list) -> list:
-    """The states of a block of messages t | half spectrum: one stacked
-    irfft, each row bit for bit the 1-D one, inverts the spectra. A state
-    whose samples are not finite (its spectrum or its irfft overflowed)
-    ends the block as a BlowupError, the cut _row_cells reads."""
-    if not values:  # the read after the last block
-        return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.fft.irfft(np.array([v[1:] for v in values]).view(np.complex128), grid.n)
-    states = []
-    for v, s in zip(values, samples):
-        try:
-            states.append(TrajectoryState(Field(grid, s), float(v[0])))
-        except ValueError:  # the step is not sent, and the cut's message does not need it
-            return states + [BlowupError(float(v[0]), None)]
-    return states
+    return iter(block, None)
 
 
 def _write_json(path: str, obj) -> None:

@@ -153,7 +153,7 @@ def _local_energy(squares: np.ndarray, dh: np.ndarray, wp: np.ndarray,
 
 def diag_record(u: Field, t: float, s: WeightSchedule) -> DiagRecord:
     """Invariants and local energy at t; D^{1/2}u is computed once for E and F."""
-    record = _block(u.samples[None], [t], [], s, u.grid, records=slice(None))[0]
+    record = _block(u.samples[None], [t], [], s, u.grid)[0]
     return DiagRecord(**{name: float(v[0]) for name, v in record.items()})
 
 
@@ -216,8 +216,9 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     The d/dt terms are centered differences of the full weighted integrals
     (weights evaluated at their own times); every other term is evaluated
     at t with analytic w' and lambda'. One spectral pass of 9 transforms
-    (see _block). Only the inputs are checked: a state whose square
-    overflows gives terms that are not finite.
+    (see _block), which also gives the three states' record values, unused
+    here. Only the inputs are checked: a state whose square overflows
+    gives terms that are not finite.
     """
     g = _same_grid(u, u_prev)
     _same_grid(u, u_next)
@@ -240,42 +241,39 @@ def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     return budgets(u_prev, u, u_next, t, dt, s)[1]
 
 
-def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid,
-           records: slice = slice(1, -1)):
-    """The record values of the rows `records` selects, a run that holds every
-    interior row, and the budget values of the interior rows, of an (m, n)
-    stack of consecutive states, in one spectral pass.
+def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
+    """The record values of every row, and the budget values of the
+    interior rows, of an (m, n) stack of consecutive states, in one
+    spectral pass.
 
     Row i is the state at ts[i]; interior row i steps by hs[i - 1], its
     budgets pairing rows i - 1 and i + 1 as the states at t - h and t + h.
     Returns (record, mass, energy): dicts from the fields of DiagRecord,
     MassBudget and EnergyBudget (t left out of the budgets) to arrays over
-    those rows, mass and energy None when no row is interior. The pass takes
-    9 transforms however many rows it serves (2 with no interior row): one
-    rfft of the selected rows gives D^{1/2}u, shared by E, F and the
-    budgets, and u_x, H u_x and H u_xx; one rfft of u^2 gives the flux and
-    one of phi' u the commutator. Each row's window, spectrum and square
-    are made once. A row gets the same bits as in a pass of its own:
-    transforms and sums run along rows, dot products are taken row by row
-    (a matrix product would sum in another order), and the scalar weights
-    are taken with `math`, once per row or distinct time. Nothing is
-    checked.
+    the rows and the interior rows, mass and energy None when no row is
+    interior. The pass takes 9 transforms however many rows it serves (2
+    with no interior row): one rfft of every row gives D^{1/2}u, shared by
+    E, F and the budgets, and u_x, H u_x and H u_xx; one rfft of u^2 gives
+    the flux and one of phi' u the commutator. Each row's window, spectrum
+    and square are made once. A row gets the same bits as in a pass of its
+    own: transforms and sums run along rows, dot products are taken row by
+    row (a matrix product would sum in another order), and the scalar
+    weights are taken with `math`, once per row or distinct time. Nothing
+    is checked: a row whose samples are not finite has an L1 that is not.
     """
     m, g = len(ts), grid
-    lo, hi, _ = records.indices(m)
-    lams = np.array([lambda_at(s, t) for t in ts[lo:hi]])
-    spectrum = np.fft.rfft(samples[lo:hi])
+    lams = np.array([lambda_at(s, t) for t in ts])
+    spectrum = np.fft.rfft(samples)
     dh = np.fft.irfft(spectrum * g._half_sym, g.n)
     z = g.coords / lams[:, None]
     winp, squares = phi_prime(z), np.square(samples)
-    i1, i2, e, l1 = _invariants(samples[lo:hi], dh, g.spacing)
-    record = {"t": np.array(ts[lo:hi], dtype=float), "I1": i1, "I2": i2, "E": e, "L1": l1,
-              "F": _local_energy(squares[lo:hi], dh, winp, g.spacing), "lam": lams}
+    i1, i2, e, l1 = _invariants(samples, dh, g.spacing)
+    record = {"t": np.array(ts, dtype=float), "I1": i1, "I2": i2, "E": e, "L1": l1,
+              "F": _local_energy(squares, dh, winp, g.spacing), "lam": lams}
     if m < 3:
         return record, None, None
 
-    mid = slice(1 - lo, m - 1 - lo)
-    spectrum, dh, z, winp, lam = spectrum[mid], dh[mid], z[mid], winp[mid], lams[mid]
+    spectrum, dh, z, winp, lam = spectrum[1:-1], dh[1:-1], z[1:-1], winp[1:-1], lams[1:-1]
     u, now, zwinp = samples[1:-1], ts[1:-1], z * winp
     before, after = [t - h for t, h in zip(now, hs)], [t + h for t, h in zip(now, hs)]
     # w, phi(x/lambda) and int phi(x/lambda(tau)) rho once per distinct (time,

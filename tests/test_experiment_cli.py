@@ -1,6 +1,7 @@
 """End-to-end checks of the command surface: configs, files, exit codes."""
 
 import glob
+import itertools
 import json
 import math
 import multiprocessing
@@ -134,15 +135,40 @@ def pid_logged(fn, path):
 
 
 def blocks_of(states, size):
-    """`states` in lists of `size`, holding none of a list once it is read."""
-    block = []
-    for st in states:
-        block.append(st)
-        if len(block) == size:
-            yield block
-            block = []
-    if block:
-        yield block
+    """`states` as (times, samples) blocks of `size`, as _received yields
+    them, holding none of a block's samples once it is read."""
+    states = iter(states)
+    while block := list(itertools.islice(states, size)):
+        yield [st.t for st in block], np.array([st.u.samples for st in block])
+
+
+def states_alive(monkeypatch, seen):
+    """Patch _block to note how many states are alive in the windows it is
+    passed and in the blocks read, and return the notes with a wrapper for
+    blocks, (times, samples) pairs. `seen` holds weak references to the
+    arrays met so far. At each pass the note is the window's states plus
+    those of every array in `seen` still alive but the last, the block
+    whose states the window copies; at each read of a block it is the
+    states still alive in `seen`, to which the block read is then added."""
+    alive, block = [], experiment_cli._block
+
+    def rows(refs):
+        return sum(len(a) for a in (r() for r in refs) if a is not None)
+
+    def passed(window, *args):
+        alive.append(rows(seen[:-1]) + len(window))
+        seen.append(weakref.ref(window))
+        return block(window, *args)
+
+    def read(blocks):
+        for times, samples in blocks:
+            alive.append(rows(seen))
+            seen.append(weakref.ref(samples))
+            yield times, samples
+            del times, samples
+
+    monkeypatch.setattr(experiment_cli, "_block", passed)
+    return alive, read
 
 
 def dense_text(n, steps):
@@ -579,7 +605,8 @@ gaussian.width = 2.0
         assert err.count("budgets process failed") == 1 and "injected budgets failure" in err
         assert os.path.join(out, "wave.csv") in err
         # rows 0 (no budgets), 1 and 2 were written before the fifth call raised:
-        # row k once call k + 2 gave the cells of the state after it
+        # row k by call k + 2, the pass over the window that holds the state
+        # after it (call 1 is u0's, alone)
         with open(os.path.join(ref, "wave.csv")) as fh:
             want = fh.read().splitlines()[:4]
         with open(os.path.join(out, "wave.csv")) as fh:
@@ -670,70 +697,73 @@ gaussian.width = 2.0
             f"g{i}.{ext}" for i in range(configs) for ext in ("csv", "manifest.json"))
 
     def test_writer_holds_at_most_three_states(self, tmp_path, monkeypatch):
-        # blocks of one: prev, cur and the next state, which completes cur's budgets
+        # blocks of one: windows of u0, then u0 and the next state, then prev,
+        # cur and the next state, which completes cur's budgets; while a block
+        # is read no earlier block or window is alive
         monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
-        assert self.states_held_by_writer(tmp_path, 10) == 3
+        alive = self.states_held_by_writer(tmp_path, monkeypatch, 10)
+        assert alive == [0, 1, 0, 2] + [0, 3] * 9 and max(alive) == 3
 
-    def test_writer_holds_a_block_and_two_states(self, tmp_path):
+    def test_writer_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
         # at the default cap, 16 states at n = 2048: the 41 records come in
-        # blocks of 16, 16 and 9, and the two states before a block are held
+        # blocks of 16, 16 and 9, each passed in a window with the two
+        # states before it
         assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 16
-        assert self.states_held_by_writer(tmp_path, 40) == 16 + 2
+        alive = self.states_held_by_writer(tmp_path, monkeypatch, 40)
+        assert alive == [0, 16, 0, 18, 0, 11] and max(alive) == 16 + 2
 
     def test_reader_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
         # the budgets process's own states: u0, which it is forked holding,
-        # then those _received reads from the sent messages. At n = 2048
-        # (cap 16) it holds the two states before a block and the block, for
-        # the 41 records as for any number: u0 and the first block for the
-        # first pass, after which u0 is let go; none of a block is held while
-        # the next block is read. The stacked irfft gives every state the
-        # bits of iter_trajectory's, so the CSV is the one its states make
+        # then the blocks _received makes of the sent messages. At n = 2048
+        # (cap 16) the 41 records take windows of u0 alone, of u0 and the
+        # first block, then of each block with the two states before it:
+        # 1, 1 + 16, 2 + 16 and 2 + 8 states, for 41 records as for any
+        # number. u0 is let go after its own pass, and no earlier block or
+        # window is alive while a block is read. The stacked irfft gives
+        # every state the bits of iter_trajectory's, so the CSV is the one
+        # its states make
         cfg = build_config(parse_config_text(dense_text(2048, 40)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         sent = sent_messages(cfg)
         assert [len(message) for message in sent] == [8 * 2051] * 40 + [0]
         held = [bv.Field(cfg.grid, states[0].u.samples)]  # a copy that only `held` keeps
-        refs, alive, same = [weakref.ref(held[0])], [], []
+        alive, read = states_alive(monkeypatch, [weakref.ref(held[0].samples)])
+        receive, same = experiment_cli._received, []
 
-        def field(grid, samples):
-            made = bv.Field(grid, samples)
-            refs.append(weakref.ref(made))
-            alive.append([r() is not None for r in refs])
-            same.append(np.array_equal(made.samples, states[1 + len(same)].u.samples))
-            return made
+        def received(conn, grid):
+            for times, samples in read(receive(conn, grid)):
+                same.extend(t == st.t and np.array_equal(row, st.u.samples)
+                            for t, row, st in zip(times, samples, states[1 + len(same):]))
+                yield times, samples
+                del times, samples
 
-        monkeypatch.setattr(experiment_cli, "Field", field)
+        monkeypatch.setattr(experiment_cli, "_received", received)
         path, ref = tmp_path / "uneven.csv", tmp_path / "ref.csv"
         assert consumed(path, cfg, held, sent) == (41, None)
-        assert held == [] and len(alive) == 40 and all(same)
-        assert [kept[0] for kept in alive] == [True] * 16 + [False] * 24
-        assert max(map(sum, alive)) == 16 + 2
+        assert held == [] and same == [True] * 40
+        assert alive == [1, 0, 17, 0, 18, 0, 10] and max(alive) == 16 + 2
         assert experiment_cli._write_rows(str(ref), blocks_of(states, 1), cfg) == (41, None)
         assert path.read_bytes() == ref.read_bytes()
 
     @staticmethod
-    def states_held_by_writer(tmp_path, steps):
-        """The most states alive while _write_rows takes a record-every-step
-        run (n = 2048) in blocks of the cap; its CSV must match a real run's,
-        whose states crossed the pipe."""
+    def states_held_by_writer(tmp_path, monkeypatch, steps):
+        """The states alive at each pass and each read (see states_alive)
+        while _write_rows takes a record-every-step run (n = 2048) in blocks
+        of the cap; its CSV must match a real run's, whose states crossed
+        the pipe."""
         text = dense_text(2048, steps)
         cfg = build_config(parse_config_text(text))
-        refs, alive = [], []
-
-        def states():
-            for st in bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver):
-                refs.append(weakref.ref(st.u))
-                alive.append(sum(r() is not None for r in refs))
-                yield st
-
+        states = bv.iter_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         path = tmp_path / "uneven.csv"
         cap = max(1, experiment_cli._BLOCK_SAMPLES // cfg.grid.n)
-        assert experiment_cli._write_rows(str(path), blocks_of(states(), cap), cfg) == (
-            steps + 1, None)
+        with monkeypatch.context() as patch:
+            alive, read = states_alive(patch, [])
+            assert experiment_cli._write_rows(str(path), read(blocks_of(states, cap)), cfg) == (
+                steps + 1, None)
         out = tmp_path / "out"
         assert main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
         assert path.read_bytes() == (out / "uneven.csv").read_bytes()
-        return max(alive)
+        return alive
 
     def test_csv_bytes_do_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
         # records every other step, at steps 0, 2, ..., 72 and 73: the last
@@ -752,9 +782,10 @@ gaussian.width = 2.0
         assert [r["energy_residual"] is None for r in rows] == [True] + [False] * 35 + [True] * 2
 
     def test_pass_schedule_does_not_depend_on_timing(self, tmp_path, monkeypatch):
-        # 41 records at n = 1024, cap 32: blocks of 32 and 9, a _block pass
-        # each, then the last state's record pass, both when the budgets
-        # process keeps up and when the integration sleeps 20 ms per record
+        # 41 records at n = 1024, cap 32: a _block pass for u0 alone, then
+        # one for each block of 32 and 8 sent states with the states before
+        # it, both when the budgets process keeps up and when the
+        # integration sleeps 20 ms per record
         cfg, csvs = write_cfg(tmp_path, dense_text(1024, 40)), []
         integrate = experiment_cli._iter_stack
 
@@ -800,47 +831,70 @@ gaussian.width = 2.0
     def test_cut_inside_a_block_writes_what_blocks_of_one_write(self, tmp_path):
         # a state whose record cells overflow (finite samples, square past
         # 1e308) amid the run: in any blocks, the rows stop before it, the row
-        # before it has no budget cells, and no later state is written
+        # before it has no budget cells, and no later state is written. It
+        # is first in its block in blocks of five, where the row before it
+        # is the last of the window before
         text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
         cfg = build_config(parse_config_text(text))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         states[5] = bv.TrajectoryState(bv.Field(cfg.grid, 1e200 * states[5].u.samples),
                                        states[5].t)
         written = []
-        for size in (1, 4, 8):
+        for size in (1, 4, 5, 8):
             path = tmp_path / f"blocks{size}.csv"
             assert experiment_cli._write_rows(str(path), blocks_of(states, size), cfg) == (
                 5, states[5].t)
             written.append(path.read_bytes())
-        assert written[0] == written[1] == written[2]
+        assert written[1:] == written[:1] * 3
         _, rows = parse_records(str(tmp_path / "blocks1.csv"))
         assert [r["energy_residual"] is None for r in rows] == [True, False, False, False, True]
 
+    def test_budget_cells_that_overflow_are_a_cut(self, tmp_path):
+        # a mode at 20 of 64 on a box of length 1e-98 and amplitude 1e102:
+        # every record cell is finite, but (H u_x) u_x, in d31, overflows. The
+        # rows stop before the second state, the first with budgets, in any
+        # blocks; in blocks of two its budgets wait for the next block
+        grid = bv.make_grid(64, 1e-98)
+        u = bv.Field(grid, 1e102 * np.sin(40.0 * np.pi * grid.coords / grid.length))
+        states = [bv.TrajectoryState(u, t) for t in (9.99, 10.0, 10.01, 10.02)]
+        cfg = SimpleNamespace(grid=grid, weight=bv.WeightSchedule(a=0.25))
+        written = []
+        for size in (1, 2, 3):
+            path = tmp_path / f"blocks{size}.csv"
+            assert experiment_cli._write_rows(str(path), blocks_of(states, size), cfg) == (
+                1, 10.0)
+            written.append(path.read_text().splitlines())
+        assert written[1:] == written[:1] * 2
+        assert written[0][0] == ",".join(CSV_COLUMNS) and len(written[0]) == 2
+        assert written[0][1].startswith("9.99,") and written[0][1].endswith(",,,,")
+
     def test_interior_row_takes_nine_transforms(self, tmp_path, transforms):
-        # one pass of 9 per block, for the record and budgets of each state
-        # that has both neighbors; the first state's record takes 2 (in the
-        # pass with the second state), and so does the last state's, alone
+        # one pass of 9 per window, for the record cells of its states and
+        # the budgets of each state that has both neighbors there; a window
+        # with no such state takes 2
         cfg = build_config(parse_config_text(dense_text(1024, 10)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         transforms.clear()
         path = str(tmp_path / "uneven.csv")
         assert experiment_cli._write_rows(path, blocks_of(states, 1), cfg) == (11, None)
-        # in blocks of one, 9 for each of the 9 interior rows
-        assert transforms == {"rfft": 1 + 9 * 3 + 1, "irfft": 1 + 9 * 6 + 1}
+        # in blocks of one, windows of the first state and of the first two,
+        # 2 each, then 9 for each of the 9 interior rows
+        assert transforms == {"rfft": 1 + 1 + 9 * 3, "irfft": 1 + 1 + 9 * 6}
         # in blocks of the cap, 32 at n = 1024: the 11 states in one block,
-        # one pass of 9, then the last state's 2
+        # one pass of 9
         transforms.clear()
         assert experiment_cli._write_rows(path, blocks_of(states, 32), cfg) == (11, None)
-        assert transforms == {"rfft": 3 + 1, "irfft": 6 + 1}
+        assert transforms == {"rfft": 3, "irfft": 6}
         # as the budgets process reads a run of 41 states: u0, which it is
-        # forked holding, then the 40 sent in blocks of 32 and 8, each block's
-        # half spectra inverted by one stacked irfft; a pass of 9 for u0 and
-        # the first block, one for the second, and the last state's 2
+        # forked holding, alone, 2; then the 40 sent in blocks of 32 and 8,
+        # each block's half spectra inverted by one stacked irfft, and a pass
+        # of 9 for u0 with the first block and one for the second block with
+        # the two states before it
         cfg = build_config(parse_config_text(dense_text(1024, 40)))
         sent = sent_messages(cfg)
         transforms.clear()
         assert consumed(path, cfg, [experiment_cli.initial_condition(cfg)], sent) == (41, None)
-        assert transforms == {"rfft": 2 * 3 + 1, "irfft": 2 + 2 * 6 + 1}
+        assert transforms == {"rfft": 1 + 2 * 3, "irfft": 1 + 2 + 2 * 6}
 
     def test_integration_takes_eight_transforms_a_step_and_none_a_record(self, tmp_path,
                                                                            transforms):
@@ -867,14 +921,15 @@ gaussian.width = 2.0
             reader.close()
             sender.close()
 
-    @pytest.mark.parametrize("block", [1, 5, None])
+    @pytest.mark.parametrize("block", [1, 4, 5, None])
     def test_spectrum_whose_samples_overflow_is_a_cut(self, tmp_path, monkeypatch, capsys,
                                                       block):
         # the sixth state, the fifth sent, is a finite half spectrum whose
         # irfft overflows: the budgets process meets it, and the rows stop
         # before it as at any cut, the fifth row without budgets, exit 3. It
-        # is alone in its block in blocks of one, last in it in blocks of
-        # five, and amid the one block of 10 at the default cap (32 at n = 1024)
+        # is alone in its block in blocks of one, first in it in blocks of
+        # four (after u0's block of its own), last in it in blocks of five,
+        # and amid the one block of 10 at the default cap (32 at n = 1024)
         if block:
             monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", block * 1024)
         text = dense_text(1024, 10)

@@ -4,6 +4,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -417,11 +418,10 @@ class TestEnergyBudget:
         eb = bv.energy_budget(st_[0].u, st_[1].u, st_[2].u, st_[1].t, h, s)
         assert eb.residual == eb.ddt_term + eb.b1 + eb.b2 + eb.b3 + eb.b4
 
-    def test_overflowing_state_gives_terms_that_are_not_finite(self, grid_small):
+    def test_overflowing_state_gives_terms_that_are_not_finite(self, grid_small, tmp_path):
         # |u| = 1e200 is a finite Field, but u^2 overflows: budgets hands back
-        # terms that are not finite instead of raising, and the CSV writer's
-        # _row_cells turns them, and the record cells, into a cut row without
-        # a numpy warning
+        # terms that are not finite instead of raising, and the CSV writer
+        # cuts at the first such state, with no row and no numpy warning
         x = grid_small.coords
         u = Field(grid_small, 1e200 * np.exp(-((x / 5.0) ** 2)))
         args = (u, u, u, 10.0, 0.01, bv.WeightSchedule(a=0.25))
@@ -430,11 +430,11 @@ class TestEnergyBudget:
         assert not all(map(math.isfinite, astuple(mass)[1:] + astuple(energy)[1:]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            states = [bv.TrajectoryState(u, t) for t in (9.99, 10.0, 10.01)]
-            cells = list(experiment_cli._row_cells([states], args[-1]))
-        # the middle state's budget cells are None; the ends have no budgets
-        assert [(c, b) for _, c, b in cells] == [
-            (None, experiment_cli._NO_BUDGET), (None, None), (None, experiment_cli._NO_BUDGET)]
+            block = ([9.99, 10.0, 10.01], np.array([u.samples] * 3))
+            cfg = SimpleNamespace(grid=grid_small, weight=args[-1])
+            path = tmp_path / "cut.csv"
+            assert experiment_cli._write_rows(str(path), [block], cfg) == (0, 9.99)
+        assert path.read_text() == ",".join(experiment_cli.CSV_COLUMNS) + "\n"
 
 
 class TestOneSpectralPass:
@@ -513,10 +513,9 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("data", ["trajectory", "white noise"])
     def test_blocks_match_one_state_code_bit_for_bit(self, gaussian_small, data):
-        # every block size from 1 to the CSV writer's cap at n = 1024 (32), as
-        # the writer passes it with the two states before it (records of the
-        # interior rows) and at the start of a run (from row 0), and every
-        # row's record; white noise fills the top third and Nyquist
+        # every window from 1 state to the CSV writer's cap at n = 1024 (32)
+        # and the two states before a block, and every row's record values;
+        # white noise fills the top third and Nyquist
         g, s = gaussian_small.grid, bv.WeightSchedule(a=0.25)
         cap = experiment_cli._BLOCK_SAMPLES // g.n
         assert cap == 32
@@ -533,18 +532,17 @@ class TestOneSpectralPass:
         budgets = [None] + [astuple(m) + astuple(e) for m, e in (
             one_state_budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i],
                               ts[i] - ts[i - 1], s) for i in range(1, cap + 1))]
-        for k in range(1, cap + 1):
-            m = k + 2
+        for m in range(1, cap + 3):
             samples = np.array([st.u.samples for st in states[:m]])
             hs = [ts[i] - ts[i - 1] for i in range(1, m - 1)]
-            for rows in (slice(1, -1), slice(0, -1), slice(None)):
-                record, mass, energy = _block(samples, ts[:m], hs, s, g, rows)
-                got = list(zip(*(record[name] for name in experiment_cli._RECORD_CELLS)))
-                assert got == records[:m][rows]
-                for i in range(1, m - 1):
-                    got = (MassBudget(ts[i], **{f: v[i - 1] for f, v in mass.items()}),
-                           EnergyBudget(ts[i], **{f: v[i - 1] for f, v in energy.items()}))
-                    assert astuple(got[0]) + astuple(got[1]) == budgets[i]
+            record, mass, energy = _block(samples, ts[:m], hs, s, g)
+            got = list(zip(*(record[name] for name in experiment_cli._RECORD_CELLS)))
+            assert got == records[:m]
+            assert (mass is None) == (m < 3)
+            for i in range(1, m - 1):
+                got = (MassBudget(ts[i], **{f: v[i - 1] for f, v in mass.items()}),
+                       EnergyBudget(ts[i], **{f: v[i - 1] for f, v in energy.items()}))
+                assert astuple(got[0]) + astuple(got[1]) == budgets[i]
 
     def test_single_budgets_are_the_halves(self, budget_states):
         s = bv.WeightSchedule(a=0.25)
