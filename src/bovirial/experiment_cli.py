@@ -642,19 +642,22 @@ def _write_dat(path: str, pairs) -> None:
             fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def _schedule(records_path: str, a: float | None, c_scale: float | None) -> WeightSchedule:
-    """The window schedule the lambda column is checked against. When
-    X.manifest.json sits beside X.csv, the run's config decides, and an
-    explicit --a or --c that contradicts it is a ConfigError. Otherwise the
-    flags decide, defaulting like the config keys."""
+def _schedule(records_path: str, a: float | None,
+              c_scale: float | None) -> tuple[WeightSchedule, dict]:
+    """The window schedule the lambda column is checked against, and the
+    run's manifest ({} when there is none). When X.manifest.json sits
+    beside X.csv, the run's config decides, and an explicit --a or --c
+    that contradicts it is a ConfigError. Otherwise the flags decide,
+    defaulting like the config keys."""
     given = {"weight.a": ("--a", a), "weight.c_scale": ("--c", c_scale)}
     values = {key: _KEYS[key][2] if value is None else value
               for key, (_, value) in given.items()}
-    manifest = os.path.splitext(records_path)[0] + ".manifest.json"
+    manifest, run = os.path.splitext(records_path)[0] + ".manifest.json", {}
     if os.path.exists(manifest):
         text = _read_text(manifest)
         try:
-            config = json.loads(text)["config"]
+            run = json.loads(text)
+            config = run["config"]
             values = {key: float(config.get(key, _KEYS[key][2])) for key in given}
         except (ValueError, KeyError, TypeError, AttributeError):
             raise ConfigError(f"{manifest}: no readable weight schedule in its config") from None
@@ -663,7 +666,7 @@ def _schedule(records_path: str, a: float | None, c_scale: float | None) -> Weig
                 raise ConfigError(f"{flag} {value:g} contradicts {key} = {values[key]:g} "
                                   f"in {manifest}")
     try:
-        return WeightSchedule(a=values["weight.a"], c_scale=values["weight.c_scale"])
+        return WeightSchedule(a=values["weight.a"], c_scale=values["weight.c_scale"]), run
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -671,7 +674,7 @@ def _schedule(records_path: str, a: float | None, c_scale: float | None) -> Weig
 def analyze_records(records_path: str, a: float | None, c_scale: float | None,
                     out_dir: str) -> int:
     diags, rows = parse_records(records_path)
-    sched = _schedule(records_path, a, c_scale)
+    sched, run = _schedule(records_path, a, c_scale)
 
     decay_part = [d for d in diags if d.t >= 10.0]
     if not decay_part or decay_part[-1].t < 16.0:
@@ -684,6 +687,9 @@ def analyze_records(records_path: str, a: float | None, c_scale: float | None,
     monotone = all(b < a_ for a_, b in zip(minima_f, minima_f[1:]))
 
     flags: list[str] = []
+    if run and run.get("status") != "completed":  # the minima then stop at its cut
+        flags.append(f"run {run.get('status')} after {run.get('records')} records "
+                     f"(last t = {diags[-1].t:g})")
     try:
         exponent = l1_growth_fit(diags)
     except ValueError as exc:

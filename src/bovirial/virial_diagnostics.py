@@ -258,8 +258,9 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
     and square are made once. A row gets the same bits as in a pass of its
     own: transforms and sums run along rows, dot products are taken row by
     row (a matrix product would sum in another order), and the scalar
-    weights are taken with `math`, once per row or distinct time. Nothing
-    is checked: a row whose samples are not finite has an L1 that is not.
+    weights are taken with `math`, at each interior row's own t - h, t and
+    t + h. Nothing is checked: a row whose samples are not finite has an L1
+    that is not.
     """
     m, g = len(ts), grid
     lams = np.array([lambda_at(s, t) for t in ts])
@@ -275,29 +276,21 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
 
     spectrum, dh, z, winp, lam = spectrum[1:-1], dh[1:-1], z[1:-1], winp[1:-1], lams[1:-1]
     u, now, zwinp = samples[1:-1], ts[1:-1], z * winp
-    before, after = [t - h for t, h in zip(now, hs)], [t + h for t, h in zip(now, hs)]
-    # w, phi(x/lambda) and int phi(x/lambda(tau)) rho once per distinct (time,
-    # state): t - h is the previous row's time wherever the spacing was exact,
-    # and t + h is often the next's, so a row's d/dt term reuses the integrals
-    # of its neighbors' a1 and b1
-    pair, (prev, cur, nxt) = {}, ([], [], [])
-    for shift, (taus, index) in enumerate(zip((before, now, after), (prev, cur, nxt))):
-        index.extend(pair.setdefault((tau, i + shift), len(pair)) for i, tau in enumerate(taus))
-    at, of = (list(column) for column in zip(*pair))  # each pair's time and state
-    w_tau = np.array([w_at(s, tau) for tau in at])
-    win_tau = phi(g.coords / np.array([lambda_at(s, tau) for tau in at])[:, None])
-    w_prev, w, w_next, win = w_tau[prev], w_tau[cur], w_tau[nxt], win_tau[cur]
+    taus = ([t - h for t, h in zip(now, hs)], now, [t + h for t, h in zip(now, hs)])
+    w_prev, w, w_next = (np.array([w_at(s, tau) for tau in column]) for column in taus)
+    wins = [phi(g.coords / np.array([lambda_at(s, tau) for tau in column])[:, None])
+            for column in taus]
     w_prime = np.array([w_prime_at(s, t) for t in now])
     w_rate = w * (np.array([lambda_prime_at(s, t) for t in now]) / lam)
     two_h = 2.0 * np.asarray(hs, dtype=float)
 
     def window_terms(density):
-        """For rho the interior rows of `density`, u or u^2 of every row: the
-        centered d/dt of w int phi rho, w' int phi rho and
-        w (lambda'/lambda) int (x/lambda) phi' rho."""
-        integral = _weighted_sum(g.spacing, win_tau, density[of])
-        ddt = (w_next * integral[nxt] - w_prev * integral[prev]) / two_h
-        return (ddt, w_prime * integral[cur],
+        """For rho u or u^2 of every row: the centered d/dt of w int phi rho,
+        w' int phi rho and w (lambda'/lambda) int (x/lambda) phi' rho of the
+        interior rows, each neighbor weighted at its own t - h or t + h."""
+        before, here, after = (_weighted_sum(g.spacing, window, rows) for window, rows
+                               in zip(wins, (density[:-2], density[1:-1], density[2:])))
+        return ((w_next * after - w_prev * before) / two_h, w_prime * here,
                 w_rate * _weighted_sum(g.spacing, zwinp, density[1:-1]))
 
     ux, hux, disp = (np.fft.irfft(spectrum * sym, g.n) for sym in (
@@ -312,8 +305,8 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
     d322 = g.spacing * np.array([np.dot(a, b) for a, b in zip(dh, half_wu - winp * dh)])
 
     ddt, a1, a2 = window_terms(samples)
-    a3 = w * _weighted_sum(g.spacing, win, disp)
-    a4 = -w * _weighted_sum(g.spacing, win, flux)
+    a3 = w * _weighted_sum(g.spacing, wins[1], disp)
+    a4 = -w * _weighted_sum(g.spacing, wins[1], flux)
     mass = {"ddt_term": ddt, "a1": a1, "a2": a2, "a3": a3, "a4": a4,
             "residual": ddt - a1 + a2 + a3 + a4}
 
@@ -321,7 +314,7 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
     # is exact in binary, so this matches weighting 1/2 u^2 directly
     ddt, damping, dilation = window_terms(squares)
     ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
-    d31 = _weighted_sum(g.spacing, win, hux * ux)
+    d31 = _weighted_sum(g.spacing, wins[1], hux * ux)
     d32 = _weighted_sum(g.spacing, winp, hux * u)
     d321 = _weighted_sum(g.spacing, winp, dh ** 2)
     b3 = -w * (d31 + d32 / lam)

@@ -1185,6 +1185,29 @@ class TestAnalyze:
         assert code == 0
         assert any("lambda column disagrees" in f and "1.360e+00" in f for f in summary["flags"])
 
+    @pytest.mark.parametrize("status", ["completed", "aborted"])
+    def test_aborted_run_is_flagged(self, tmp_path, status):
+        # an aborted run's rows stop at its cut, so its minima read like a
+        # finished run's; a completed manifest changes no byte of the summary
+        rec = tmp_path / "r.csv"
+        synthetic_records(str(rec))
+
+        def summary(out):
+            assert main(["analyze", "--records", str(rec), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "summary.json").read_bytes()
+
+        bare = summary("bare")
+        (tmp_path / "r.manifest.json").write_text(
+            json.dumps({"config": {}, "records": 2000, "status": status}))
+        got = summary("run")
+        if status == "completed":
+            assert got == bare
+        else:
+            got, want = json.loads(got), json.loads(bare)
+            assert want.pop("flags") == []
+            assert got.pop("flags") == ["run aborted after 2000 records (last t = 10000)"]
+            assert got == want
+
     def test_short_horizon_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
         run_out = str(tmp_path / "run")

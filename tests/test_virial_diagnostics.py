@@ -528,6 +528,9 @@ class TestOneSpectralPass:
                       for i in range(cap + 2)]
         assert len(states) == cap + 2
         ts = [st.t for st in states]
+        # rows whose t + h is not the next row's time in floating point: their
+        # d/dt terms weight the next state at t + h, and are compared below
+        assert sum(ts[i] + (ts[i] - ts[i - 1]) != ts[i + 1] for i in range(1, cap + 1)) == 8
         records = [one_state_record(st.u, st.t, s) for st in states]
         budgets = [None] + [astuple(m) + astuple(e) for m, e in (
             one_state_budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i],
