@@ -10,13 +10,16 @@ temporary directory:
     so only the program differs), once serially into `run/` and once with
     `--jobs 2` into `run_jobs2/`: configs run one at a time, or two at
     once in a pool, each streaming its records to a budgets process;
-  * `run` on two gaussian configs that blow up (written by this script
-    into the temporary directory), serially into `aborted/` and with
-    `--jobs 2` into `aborted_jobs2/`, each run expected to exit 3: at
-    amplitude 300 the diagnostics overflow first, at amplitude 120 the
-    field does, and either way the budgets process cuts the rows. The
-    two share grid and solver settings, so serially they run as one stack
-    and under `--jobs 2` as two stacks of one;
+  * `run` on three gaussian configs that share grid and solver settings
+    (written by this script into the temporary directory), serially into
+    `aborted/` and with `--jobs 2` into `aborted_jobs2/`, each run
+    expected to exit 3. Two blow up: at amplitude 300 the diagnostics
+    overflow first, at amplitude 120 the field does, and either way the
+    budgets process cuts the rows. At amplitude 1 the run completes its
+    201 records. Serially the three run as one stack (or, on fewer than
+    three cores, as the stacks 300 + 1 and 120), and under `--jobs 2` as
+    those two stacks, so the stable config always shares its stack with
+    a blowup whose row rides that stack to its end;
   * `run` on four random configs that share grid and solver settings
     (also written by this script), serially into `ensemble/` (one stack
     of four, or stacks of one config per core run one after another on a
@@ -69,7 +72,7 @@ import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STOCK = ("soliton_decay.cfg", "gaussian_budget.cfg", "random_field.cfg")
-BLOWUP_AMPLITUDES = (300, 120)
+BLOWUP_AMPLITUDES = (300, 120, 1)
 BLOWUP = """\
 scenario = gaussian
 grid.n = 256

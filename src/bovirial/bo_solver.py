@@ -153,14 +153,15 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
     recomputed from the step counter (t = t0 + step*dt) rather than
     accumulated, so it never drifts. The generator holds no state it has
     yielded, so a caller that keeps only a few bounds the memory of any
-    length of run. An unstable dt raises at once, non-finite samples BlowupError.
+    length of run. An unstable dt raises at once; the first record whose
+    samples are not finite raises BlowupError, and no later step is made.
     """
     g = u0.grid
     check_stability(cfg, g)
     records = _iter_stack([u0], cfg)
     yield TrajectoryState(u0, cfg.t0)
     del u0
-    for ((t, vh),) in records:
+    for t, vh in records:
         # Field copies the transform's output: kept as is, it made glibc trim and regrow
         # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -174,23 +175,21 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
         del st
 
 
-def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
+def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[tuple[float, np.ndarray]]:
     """`iter_trajectory`'s loop after t0 for a stack of fields on one grid:
     their half spectra advance as one (B, n/2+1) array, each row bit for
-    bit as it would alone, and each record is a list of B entries, one per
-    member: (t, its half spectrum, a row no later step writes to), with no
-    transform. At the record where a member's spectrum stops being finite
-    its entry is that spectrum; the member then leaves the stack and its
-    later entries are None. A lone field keeps a 1-D spectrum (a stack of
-    one steps 3-5% slower). The caller has checked dt (check_stability)."""
+    bit as it would alone, and each record is (t, that array), which no
+    later step writes to, with no transform. A lone field keeps a 1-D
+    spectrum (a stack of one steps 3-5% slower). Rows that stop being
+    finite are integrated on: the caller decides when to stop drawing.
+    The caller has checked dt (check_stability)."""
     g = fields[0].grid
     if any((f.grid.n, f.grid.length) != (g.n, g.length) for f in fields):
         raise ValueError("fields live on different grids")
     plan = _Plan(g, cfg.dt)
-    size = len(fields)
-    vh = np.fft.rfft(fields[0].samples if size == 1 else np.array([f.samples for f in fields]))
+    vh = np.fft.rfft(fields[0].samples if len(fields) == 1
+                     else np.array([f.samples for f in fields]))
     del fields
-    members = list(range(size))  # the member each row of vh holds
     done = 0
     for k in itertools.chain(range(cfg.record_every, cfg.n_steps, cfg.record_every),
                              (cfg.n_steps,)):
@@ -198,19 +197,7 @@ def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[list]:
             for _ in range(k - done):
                 vh = plan.advance(vh)
         done = k
-        t = cfg.t0 + k * cfg.dt
-        rows = vh.reshape(len(members), -1)  # a view, also of a 1-D spectrum
-        states = [None] * size
-        for row, m in enumerate(members):
-            states[m] = (t, rows[row])
-        finite = np.isfinite(rows).all(axis=-1).tolist()
-        if not all(finite):
-            vh, members = rows[finite], [m for m, ok in zip(members, finite) if ok]
-        del rows
-        yield states
-        del states
-        if not members:
-            return
+        yield cfg.t0 + k * cfg.dt, vh
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:

@@ -24,7 +24,7 @@ stacks run one after another; with N above 1 a pool runs them, at most N
 at once. Exit codes:
 0 success, 1 failed budgets process, 2 configuration error, 3 numerical
 abort. The BOVIRIAL_OUT environment variable supplies the default output
-directory when --out is omitted.
+directory when --out is omitted or empty, and counts as unset when empty.
 """
 
 from __future__ import annotations
@@ -361,11 +361,10 @@ class _Stream:
         states_in.close()
         results_out.close()
 
-    def send(self, entry) -> None:
-        """Stream one recorded state, an entry (t, half spectrum) of
-        _iter_stack. The stream ends once the budgets process stops reading:
-        after a failure, or after the state where it cut the rows."""
-        t, values = entry
+    def send(self, t: float, values: np.ndarray) -> None:
+        """Stream one recorded state, its time and half spectrum. The stream
+        ends once the budgets process stops reading: after a failure, or
+        after the state where it cut the rows."""
         message = self.message
         message[0], message[1:] = t, values.view(np.float64)  # real and imaginary parts
         try:
@@ -504,10 +503,12 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     existing output directory, and return their exit codes. The stack
     integrates as one (B, n/2+1) half spectrum, a lone config as a 1-D one.
     Each config streams to its own budgets process, forked holding its
-    initial field, which writes its records CSV and makes every cut; its
-    stream ends alone, after its spectrum stops being finite or once its
-    budgets process stops reading. The manifests carry the CPU seconds this
-    process spent on the stack."""
+    initial field, which writes its records CSV and makes every cut. Row i
+    of each record goes to stream i; a stream ends alone, right after it is
+    sent a row that is not finite or once its budgets process stops
+    reading, and its row rides the stack to the stack's end. The stack
+    stops once every stream has ended. The manifests carry the CPU seconds
+    this process spent on the stack."""
     streams: list[_Stream] = []
     cpu_s = _cpu_s()
     fields = [initial_condition(cfg) for cfg in cfgs]
@@ -517,13 +518,13 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
             streams.append(_Stream(cfg, u0, out_dir, others))
         records = _iter_stack(fields, cfgs[0].solver)
         del fields, u0
-        for states in records:
-            for stream, st in zip(streams, states):
-                if st is None:
-                    stream.end()
-                elif stream.open:
-                    stream.send(st)
-            del states, st  # hold no sent state while the next is integrated
+        for t, vh in records:
+            for stream, row in zip(streams, vh.reshape(len(streams), -1)):
+                if stream.open:
+                    stream.send(t, row)
+                    if not np.isfinite(row).all():
+                        stream.end()
+            del vh, row  # hold no sent state while the next is integrated
             if not any(stream.open for stream in streams):
                 break
         cpu_s = _cpu_s() - cpu_s
@@ -797,9 +798,8 @@ def soliton_test_cmd(c: float, validate_family: bool) -> int:
 
 
 def _default_out(value) -> str:
-    if value:
-        return value
-    return os.environ.get("BOVIRIAL_OUT", ".")
+    """--out, else BOVIRIAL_OUT, else "."; an empty value counts as unset."""
+    return value or os.environ.get("BOVIRIAL_OUT") or "."
 
 
 def main(argv=None) -> int:

@@ -103,17 +103,17 @@ def hostile_cfg_text(tmp_path, case):
 
 def sent_states_kept(tmp_path, monkeypatch, prefixes):
     """Run one serial stack of record-every-step configs, one per prefix, and
-    return, for each record after t0, how many earlier sent states (half
-    spectra) are still alive in this process."""
+    return, for each record after t0, how many earlier records' half spectra
+    are still alive in this process."""
     integrate, refs, kept = experiment_cli._iter_stack, [], []
 
     def watched(fields, solver):
         records = integrate(fields, solver)
         del fields
-        for states in records:
+        for t, vh in records:
             kept.append(sum(r() is not None for r in refs))
-            refs.extend(weakref.ref(values) for _, values in states)
-            yield states
+            refs.append(weakref.ref(vh))
+            yield t, vh
 
     monkeypatch.setattr(experiment_cli, "_iter_stack", watched)
     text = GAUSSIAN_UNEVEN_CFG.replace("solver.record_every = 3", "solver.record_every = 1")
@@ -122,6 +122,25 @@ def sent_states_kept(tmp_path, monkeypatch, prefixes):
         args += ["--config", write_cfg(tmp_path, text.replace("uneven", prefix), f"{prefix}.cfg")]
     assert main(["run", *args, "--out", str(tmp_path / "out")]) == 0
     return kept
+
+
+def records_drawn(tmp_path, monkeypatch, amps):
+    """Run the BLOWUP_CFG configs of `amps`, which share grid and solver
+    settings, as one serial stack that exits 3, and return how many
+    records the run drew from _iter_stack."""
+    integrate, drawn = experiment_cli._iter_stack, []
+
+    def counted(fields, solver):
+        for record in integrate(fields, solver):
+            drawn.append(None)
+            yield record
+
+    monkeypatch.setattr(experiment_cli, "_iter_stack", counted)
+    args = []
+    for amp in amps:
+        args += ["--config", write_cfg(tmp_path, BLOWUP_CFG.format(amp=amp), f"{amp}.cfg")]
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == 3
+    return len(drawn)
 
 
 def pid_logged(fn, path):
@@ -186,9 +205,9 @@ def sent_messages(cfg):
     stream = object.__new__(experiment_cli._Stream)
     stream.message, stream.open = np.empty(cfg.grid.n + 3), True
     stream.states = SimpleNamespace(send_bytes=lambda message: sent.append(bytes(message)))
-    for (entry,) in experiment_cli._iter_stack([experiment_cli.initial_condition(cfg)],
-                                                cfg.solver):
-        stream.send(entry)
+    for t, vh in experiment_cli._iter_stack([experiment_cli.initial_condition(cfg)],
+                                            cfg.solver):
+        stream.send(t, vh)
     stream.end()
     return sent
 
@@ -477,9 +496,9 @@ gaussian.width = 2.0
 
     def test_stacked_blowup_ends_its_stream_at_once(self, tmp_path, monkeypatch):
         # the field at amplitude 120 blows up at its third record, amid a block
-        # of the budgets process (128 at n = 256); its stream ends at the next
-        # record, so its budgets process cuts and exits while the stable
-        # member still integrates
+        # of the budgets process (128 at n = 256); its stream ends right after
+        # that record, so its budgets process cuts and exits while the stable
+        # member, and the blown-up row beside it, still integrate
         start, integrate, streams, exits = experiment_cli._Stream.__init__, \
             experiment_cli._iter_stack, [], []
 
@@ -503,16 +522,24 @@ gaussian.width = 2.0
         manifest = json.loads((tmp_path / "out" / "blowup_1.manifest.json").read_text())
         assert (manifest["status"], manifest["records"]) == ("completed", 201)
 
+    def test_stack_ends_when_every_member_has(self, tmp_path, monkeypatch):
+        # both fields stop being finite at their third record (t = 2.15) of
+        # 200: each stream ends right after it, and the stack stops there
+        assert records_drawn(tmp_path, monkeypatch, (300, 120)) == 3
+
+    def test_lone_blowup_stops_integrating_at_once(self, tmp_path, monkeypatch):
+        assert records_drawn(tmp_path, monkeypatch, (120,)) == 3
+
     def test_error_while_streaming_ends_every_budgets_process(self, tmp_path, monkeypatch):
         # the error closes every pipe, and each budgets process reads that as the
         # end of its stream: none is left waiting, so the run does not hang
         send, calls = experiment_cli._Stream.send, []
 
-        def failing(self, st):
+        def failing(self, t, values):
             calls.append(None)
             if len(calls) == 5:  # the third record of the first of two stacked configs
                 raise RuntimeError("injected integration failure")
-            return send(self, st)
+            return send(self, t, values)
 
         def hung(signum, frame):
             # not TimeoutError: Process.join would swallow an OSError
@@ -539,6 +566,13 @@ gaussian.width = 2.0
         monkeypatch.setenv("BOVIRIAL_OUT", out)
         assert main(["run", "--config", cfg]) == 0
         assert os.path.isfile(os.path.join(out, "wave.csv"))
+
+    def test_empty_out_dir_from_environment_is_unset(self, tmp_path, monkeypatch):
+        # as an empty --out does, an empty BOVIRIAL_OUT falls back to "."
+        monkeypatch.setenv("BOVIRIAL_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", write_cfg(tmp_path, SOLITON_CFG)]) == 0
+        assert os.path.isfile(tmp_path / "wave.csv")
 
     def test_parallel_fanout_matches_serial(self, tmp_path):
         # serial runs and pool workers both stream the records to a budgets
@@ -790,9 +824,9 @@ gaussian.width = 2.0
         integrate = experiment_cli._iter_stack
 
         def slow(fields, solver):
-            for states in integrate(fields, solver):
+            for record in integrate(fields, solver):
                 time.sleep(0.02)
-                yield states
+                yield record
 
         for name, stack in (("fast", integrate), ("slow", slow)):
             pids = tmp_path / f"{name}.pids"
@@ -937,15 +971,13 @@ gaussian.width = 2.0
         integrate = experiment_cli._iter_stack
 
         def overflowing(fields, solver):
-            for k, states in enumerate(integrate(fields, solver), start=1):
+            for k, (t, vh) in enumerate(integrate(fields, solver), start=1):
                 if k == 5:
-                    ((t, vh),) = states
                     vh = vh * (1e308 / np.abs(vh).max())
                     with np.errstate(over="ignore", invalid="ignore"):
                         assert np.isfinite(vh).all()
                         assert not np.isfinite(np.fft.irfft(vh, cfg.grid.n)).all()
-                    states = [(t, vh)]
-                yield states
+                yield t, vh
 
         monkeypatch.setattr(experiment_cli, "_iter_stack", overflowing)
         out = tmp_path / "out"
