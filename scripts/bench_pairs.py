@@ -34,8 +34,9 @@ The claimed (METRIC, WORKLOAD), if any, reads `gain` instead where the change
 was better in at least 9 of 10 pairs and its median differs from the
 parent's by more than the parent's quartile spread. Each workload also gets
 the attempted and failed counts per side, a run with no JSON result counting
-as one attempted and failed. The file records the host's cpu count and the
-python and numpy versions. Stdlib only.
+as one attempted and failed. The file records the host's cpu count, the
+python and numpy versions and whether PYTHONDONTWRITEBYTECODE is set. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -129,6 +130,16 @@ def summarize(runs: list[dict], metrics: list[dict], claim=None) -> dict:
     return summary
 
 
+def host() -> dict:
+    """The host the pairs ran on. `dont_write_bytecode` says whether
+    PYTHONDONTWRITEBYTECODE was set (to a non-empty value, as python reads
+    it): where it is, every launch compiles bovirial again, which each
+    `setup_s` includes."""
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"), "machine": platform.machine(),
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref_tree")
@@ -159,8 +170,7 @@ def main(argv: list[str]) -> int:
 
     bench = {
         "command": COMMAND.format("WORKLOAD", "SEED", args.seconds),
-        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
-                 "numpy": importlib.metadata.version("numpy"), "machine": platform.machine()},
+        "host": host(),
         "claim": None if args.claim is None else {"metric": args.claim[0],
                                                   "workload": args.claim[1]},
         "seeds": {workload: [args.seed_base, args.seed_base + count - 1]

@@ -32,6 +32,12 @@ temporary directory:
     budgets, and the budgets process, forked holding the first state,
     takes the others in blocks of sixteen (32768 // n), each sent as its
     half spectrum;
+  * `run` on two gaussian configs whose budget cells are easy to get
+    wrong (written by this script), into `edges/`: one record-every-step
+    at n = 32768, 11 records, which the budgets process takes in blocks of
+    one state, each block's first budgets needing the state before it;
+    and one whose record spacing (5) exceeds its first record's time, so
+    that t - h misses the record before it by rounding;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
@@ -111,6 +117,29 @@ gaussian.width = 10.0
 gaussian.center = 5.0
 output.prefix = dense_{amp}
 """
+EDGES = {"wide": """\
+scenario = gaussian
+grid.n = 32768
+grid.length = 400.0
+solver.dt = 0.001
+solver.t0 = 30.0
+solver.t_end = 30.01
+weight.a = 0.25
+gaussian.amplitude = 0.3
+gaussian.width = 10.0
+output.prefix = wide
+""", "coarse": """\
+scenario = gaussian
+grid.n = 1024
+grid.length = 400.0
+solver.dt = 0.1
+solver.t0 = 1.537629414362398
+solver.t_end = 41.5376294143624
+solver.record_every = 50
+gaussian.amplitude = 0.5
+gaussian.width = 4.0
+output.prefix = coarse
+"""}
 # pooled or stacked output: serial or lone twin
 TWINS = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ensemble",
          "dense_stack": "dense"}
@@ -118,20 +147,20 @@ TWINS = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ense
 TIMING = ("started", "finished", "cpu_s")
 
 
-def _write_configs(tmp: str, template: str, key: str, items) -> list[str]:
-    """`--config` arguments for `template` with `key` set to each of `items`,
-    written under `tmp`."""
+def _write_configs(tmp: str, texts: dict) -> list[str]:
+    """`--config` arguments for `texts`, config texts by name, each written
+    under `tmp` as NAME.cfg."""
     args = []
-    for item in items:
-        path = os.path.join(tmp, f"{key}_{item}.cfg")
+    for name, text in texts.items():
+        path = os.path.join(tmp, f"{name}.cfg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(template.format(**{key: item}))
+            fh.write(text)
         args += ["--config", path]
     return args
 
 
 def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str],
-             dense: list[str]) -> None:
+             dense: list[str], edges: list[str]) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
     env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
@@ -150,6 +179,7 @@ def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str],
                        (["run", *dense[:2], "--out", os.path.join(out, "dense")], 0),
                        (["run", *dense[2:], "--out", os.path.join(out, "dense")], 0),
                        (["run", *dense, "--out", os.path.join(out, "dense_stack")], 0),
+                       (["run", *edges, "--out", os.path.join(out, "edges")], 0),
                        (["check-lemmas", "--out", os.path.join(out, "lemmas")], 0),
                        (["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                          "--out", os.path.join(out, "analyze")], 0)):
@@ -254,12 +284,15 @@ def main(argv: list[str]) -> int:
     ref_tree = os.path.abspath(argv[0])
     with tempfile.TemporaryDirectory() as tmp:
         ref_out, new_out = os.path.join(tmp, "ref"), os.path.join(tmp, "new")
-        blowups = _write_configs(tmp, BLOWUP, "amp", BLOWUP_AMPLITUDES)
-        ensemble = _write_configs(tmp, ENSEMBLE, "seed", ENSEMBLE_SEEDS)
-        dense = _write_configs(tmp, DENSE, "amp", DENSE_AMPLITUDES)
+        blowups = _write_configs(tmp, {f"amp_{a}": BLOWUP.format(amp=a)
+                                       for a in BLOWUP_AMPLITUDES})
+        ensemble = _write_configs(tmp, {f"seed_{seed}": ENSEMBLE.format(seed=seed)
+                                        for seed in ENSEMBLE_SEEDS})
+        dense = _write_configs(tmp, {f"dense_{a}": DENSE.format(amp=a) for a in DENSE_AMPLITUDES})
+        edges = _write_configs(tmp, EDGES)
         for tree, out in ((ref_tree, ref_out), (HERE, new_out)):
             os.makedirs(out)
-            _produce(tree, out, blowups, ensemble, dense)
+            _produce(tree, out, blowups, ensemble, dense, edges)
         ref_files, new_files = _files(ref_out), _files(new_out)
         pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
         for rel in sorted(new_files):

@@ -70,6 +70,7 @@ from .virial_diagnostics import (
     DiagRecord,
     WeightSchedule,
     _block,
+    _closed,
     integrated_decay,
     lambda_at,
 )
@@ -276,51 +277,49 @@ def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | No
     Return the row count, and the time of the first state left out (None
     when none is).
 
-    Each block takes one _block pass in a window with the two states
-    before it, which gives the record cells of every state in the window
-    and the budget cells of each state that has both neighbors there. A
-    state is written once its next state is in a window, and the last
-    state once the blocks end, so a row waits for at most one block, and
-    the two states before a block, the block and their window are all that
-    is held, whatever the length of the run. A row's budget cells are
-    filled where its state has two equally spaced neighbors and the next
-    state's record cells are finite. Rows stop at the first state whose
-    record cells or budget cells are not all finite (near a blowup the
-    cubic functionals overflow first, and samples that are not finite make
-    L1 so), so no cell is ever inf or nan; `blocks` is read no further than
-    the block that holds the state after it. The bytes do not depend on
-    how the states are grouped into blocks."""
-    held_ts, held = [], np.empty((0, cfg.grid.n))  # the two states before a block
-    rows = 0
+    Each state takes one _block pass, in its block, for its record cells,
+    its own budget terms and the integrals it pairs with its neighbors. A
+    state is written once its next state is read, and the last state once
+    the blocks end, so a row waits for at most one block. Between blocks
+    only the last state read is held, with the numbers of its unwritten
+    row; its samples, never transformed again, are the neighbor of the
+    next block's first state. A row's budget cells are filled where its
+    state has two equally spaced neighbors (the first state's step back
+    counts as 0) and the next state's record cells are finite. Rows stop
+    at the first state whose record or budget cells are not all finite
+    (near a blowup the cubic functionals overflow first, and samples that
+    are not finite make L1 so), so no cell is ever inf or nan; `blocks` is
+    read no further than the block that holds the state after it. The
+    bytes do not depend on how the states are grouped into blocks."""
+    held, before, rows = None, None, 0  # the last state read: its unwritten row, its samples
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for times, samples in blocks:
-            ts, window = held_ts + list(times), np.concatenate((held, samples))
-            hs = [b - a for a, b in zip(ts, ts[1:])]
+            hs = [b - a for a, b in zip([times[0] if held is None else held[0], *times], times)]
             with np.errstate(over="ignore", invalid="ignore"):
-                record, mass, energy = _block(window, ts, hs[:-1], cfg.weight, cfg.grid)
+                record, terms, pairs = _block(samples, times, hs, cfg.weight, cfg.grid, before)
             cells = list(map(_joined, np.column_stack(
                 [record[name] for name in _RECORD_CELLS]).tolist()))
-            if mass is not None:
-                terms = np.column_stack([mass[name] for name in _MASS_CELLS]
-                                        + [energy[name] for name in _ENERGY_CELLS]).tolist()
-            for j in range(max(len(held_ts) - 1, 0), len(ts)):  # from the first unwritten
-                if cells[j] is None:
-                    return rows, ts[j]
-                if j == len(ts) - 1:  # written once its next state is read
-                    break
-                budget = _NO_BUDGET
-                if j and cells[j + 1] and abs(hs[j] - hs[j - 1]) <= 1e-9 * max(hs[j - 1], hs[j]):
-                    budget = _joined(terms[j - 1])
-                    if budget is None:
-                        return rows, ts[j]
-                    budget = "," + budget
-                fh.write(cells[j] + budget + "\n")
-                rows += 1
-            held_ts, held = ts[-2:], window[-2:].copy()
-            del samples, window  # hold no more than the two states while the next block comes
-        if held_ts:
-            fh.write(cells[-1] + _NO_BUDGET + "\n")
+            for i, (t, h) in enumerate(zip(times, hs)):
+                if held is not None:  # its row waited for this state
+                    t_held, h_held, line, pair, own = held
+                    budget = _NO_BUDGET
+                    if cells[i] and abs(h - h_held) <= 1e-9 * max(h_held, h):
+                        mass, energy = _closed(pair[0], own, pairs[i][1], h_held)
+                        budget = _joined([mass[name] for name in _MASS_CELLS]
+                                         + [energy[name] for name in _ENERGY_CELLS])
+                        if budget is None:
+                            return rows, t_held
+                        budget = "," + budget
+                    fh.write(line + budget + "\n")
+                    rows += 1
+                if cells[i] is None:
+                    return rows, t
+                held = (t, h, cells[i], pairs[i], terms[i])
+            before = (t, h, samples[-1].copy())
+            del samples  # hold no more than the last state while the next block comes
+        if held is not None:
+            fh.write(held[2] + _NO_BUDGET + "\n")
             rows += 1
     return rows, None
 
@@ -433,9 +432,10 @@ def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
     """The budgets process: write the rows of the field it takes out of
     `held`, a list of one, and of the states a _Stream sends, then send back
     _write_rows' result and its CPU seconds, or the traceback if it raised.
-    The field is a block of its own, let go after its pass. It ends
-    without a word when the sender closes the pipe early, having first
-    closed the pipe ends it was forked holding, so that it sees that."""
+    The field is a block of its own, let go after its pass but for a copy
+    of its samples, the first sent state's neighbor. It ends without a word
+    when the sender closes the pipe early, having first closed the pipe
+    ends it was forked holding, so that it sees that."""
     for end in inherited:
         end.close()
     first = iter([([cfg.solver.t0], held.pop().samples[None])])  # emptied, it lets u0 go

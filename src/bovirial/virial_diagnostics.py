@@ -153,7 +153,7 @@ def _local_energy(squares: np.ndarray, dh: np.ndarray, wp: np.ndarray,
 
 def diag_record(u: Field, t: float, s: WeightSchedule) -> DiagRecord:
     """Invariants and local energy at t; D^{1/2}u is computed once for E and F."""
-    record = _block(u.samples[None], [t], [], s, u.grid)[0]
+    record = _block(u.samples[None], [t], None, s, u.grid)[0]
     return DiagRecord(**{name: float(v[0]) for name, v in record.items()})
 
 
@@ -209,24 +209,42 @@ def _weighted_sum(spacing: float, weight: np.ndarray, samples: np.ndarray) -> np
     return spacing * (weight * samples).sum(axis=-1)
 
 
+def _weighed(s: WeightSchedule, grid: Grid, tau: float, samples: np.ndarray):
+    """(w int phi u, w int phi u^2) of a state, w and phi at time tau."""
+    w, win = w_at(s, tau), phi(grid.coords / lambda_at(s, tau))
+    return (float(w * _weighted_sum(grid.spacing, win, samples)),
+            float(w * _weighted_sum(grid.spacing, win, np.square(samples))))
+
+
+def _closed(behind, terms, ahead, h: float) -> tuple[dict, dict]:
+    """A state's MassBudget and EnergyBudget fields but t, as two dicts, from its
+    terms (see _block) and the _weighed integrals behind it at t - h and ahead at t + h."""
+    (m, e), two_h = terms, 2.0 * h
+    dm = (ahead[0] - behind[0]) / two_h
+    # the 1/2 of 1/2 u^2 is applied afterwards; halving is exact in binary,
+    # so this matches weighting 1/2 u^2 directly
+    de = 0.5 * ((ahead[1] - behind[1]) / two_h)
+    return ({**m, "ddt_term": dm, "residual": dm - m["a1"] + m["a2"] + m["a3"] + m["a4"]},
+            {**e, "ddt_term": de, "residual": de + e["b1"] + e["b2"] + e["b3"] + e["b4"]})
+
+
 def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
             s: WeightSchedule) -> tuple[MassBudget, EnergyBudget]:
     """Both budgets from three consecutive snapshots at t-dt, t, t+dt.
 
     The d/dt terms are centered differences of the full weighted integrals
     (weights evaluated at their own times); every other term is evaluated
-    at t with analytic w' and lambda'. One spectral pass of 9 transforms
-    (see _block), which also gives the three states' record values, unused
-    here. Only the inputs are checked: a state whose square overflows
-    gives terms that are not finite.
+    at t with analytic w' and lambda'. One spectral pass of 9 transforms,
+    of u alone (see _block). Only the inputs are checked: a state whose
+    square overflows gives terms that are not finite.
     """
     g = _same_grid(u, u_prev)
     _same_grid(u, u_next)
     _positive(dt, "dt")
-    samples = np.array([u_prev.samples, u.samples, u_next.samples])
-    _, mass, energy = _block(samples, [t - dt, t, t + dt], [dt], s, g)
-    return (MassBudget(t=float(t), **{name: float(v[0]) for name, v in mass.items()}),
-            EnergyBudget(t=float(t), **{name: float(v[0]) for name, v in energy.items()}))
+    _, [terms], _ = _block(u.samples[None], [t], [dt], s, g)
+    mass, energy = _closed(_weighed(s, g, t - dt, u_prev.samples), terms,
+                           _weighed(s, g, t + dt, u_next.samples), dt)
+    return MassBudget(t=float(t), **mass), EnergyBudget(t=float(t), **energy)
 
 
 def mass_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
@@ -241,28 +259,26 @@ def energy_budget(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     return budgets(u_prev, u, u_next, t, dt, s)[1]
 
 
-def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
-    """The record values of every row, and the budget values of the
-    interior rows, of an (m, n) stack of consecutive states, in one
-    spectral pass.
+def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, g: Grid, before=None):
+    """Record values, own budget terms and pair integrals of an (m, n) stack
+    of consecutive states, in one spectral pass.
 
-    Row i is the state at ts[i]; interior row i steps by hs[i - 1], its
-    budgets pairing rows i - 1 and i + 1 as the states at t - h and t + h.
-    Returns (record, mass, energy): dicts from the fields of DiagRecord,
-    MassBudget and EnergyBudget (t left out of the budgets) to arrays over
-    the rows and the interior rows, mass and energy None when no row is
-    interior. The pass takes 9 transforms however many rows it serves (2
-    with no interior row): one rfft of every row gives D^{1/2}u, shared by
-    E, F and the budgets, and u_x, H u_x and H u_xx; one rfft of u^2 gives
-    the flux and one of phi' u the commutator. Each row's window, spectrum
-    and square are made once. A row gets the same bits as in a pass of its
-    own: transforms and sums run along rows, dot products are taken row by
-    row (a matrix product would sum in another order), and the scalar
-    weights are taken with `math`, at each interior row's own t - h, t and
-    t + h. Nothing is checked: a row whose samples are not finite has an L1
-    that is not.
-    """
-    m, g = len(ts), grid
+    Row i is the state at ts[i], hs[i] its step back; `before` is the state
+    before row 0 as (t, h, samples), or None. Returns (record, terms,
+    pairs): record maps the fields of DiagRecord to arrays over the rows;
+    terms[i] is row i's pair of dicts of the MassBudget and EnergyBudget
+    fields taken at its own t (all but t, ddt_term and residual); pairs[i]
+    holds the _weighed integrals of the state before row i at ts[i] - hs[i]
+    and of row i at that state's t + h (None for row 0 without `before`),
+    so _closed(pairs[i][0], terms[i], pairs[i + 1][1], hs[i]) are row i's
+    budgets. With hs None the record alone takes 2 transforms; else the
+    pass takes 9 however many rows it serves, none of them `before`: one
+    rfft of every row gives D^{1/2}u (for E, F and the terms), u_x, H u_x
+    and H u_xx; one rfft of u^2 gives the flux, one of phi' u the
+    commutator. Transforms and sums run along rows, dot products row by
+    row, and weights come from `math`, so a row gets the bits of a pass of
+    its own. Nothing is checked: samples that are not finite give an L1
+    that is not."""
     lams = np.array([lambda_at(s, t) for t in ts])
     spectrum = np.fft.rfft(samples)
     dh = np.fft.irfft(spectrum * g._half_sym, g.n)
@@ -271,28 +287,13 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
     i1, i2, e, l1 = _invariants(samples, dh, g.spacing)
     record = {"t": np.array(ts, dtype=float), "I1": i1, "I2": i2, "E": e, "L1": l1,
               "F": _local_energy(squares, dh, winp, g.spacing), "lam": lams}
-    if m < 3:
+    if hs is None:
         return record, None, None
 
-    spectrum, dh, z, winp, lam = spectrum[1:-1], dh[1:-1], z[1:-1], winp[1:-1], lams[1:-1]
-    u, now, zwinp = samples[1:-1], ts[1:-1], z * winp
-    taus = ([t - h for t, h in zip(now, hs)], now, [t + h for t, h in zip(now, hs)])
-    w_prev, w, w_next = (np.array([w_at(s, tau) for tau in column]) for column in taus)
-    wins = [phi(g.coords / np.array([lambda_at(s, tau) for tau in column])[:, None])
-            for column in taus]
-    w_prime = np.array([w_prime_at(s, t) for t in now])
-    w_rate = w * (np.array([lambda_prime_at(s, t) for t in now]) / lam)
-    two_h = 2.0 * np.asarray(hs, dtype=float)
-
-    def window_terms(density):
-        """For rho u or u^2 of every row: the centered d/dt of w int phi rho,
-        w' int phi rho and w (lambda'/lambda) int (x/lambda) phi' rho of the
-        interior rows, each neighbor weighted at its own t - h or t + h."""
-        before, here, after = (_weighted_sum(g.spacing, window, rows) for window, rows
-                               in zip(wins, (density[:-2], density[1:-1], density[2:])))
-        return ((w_next * after - w_prev * before) / two_h, w_prime * here,
-                w_rate * _weighted_sum(g.spacing, zwinp, density[1:-1]))
-
+    u, win, zwinp = samples, phi(z), z * winp
+    w = np.array([w_at(s, t) for t in ts])
+    w_prime = np.array([w_prime_at(s, t) for t in ts])
+    w_rate = w * (np.array([lambda_prime_at(s, t) for t in ts]) / lams)
     ux, hux, disp = (np.fft.irfft(spectrum * sym, g.n) for sym in (
         g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym))
     # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
@@ -303,25 +304,23 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, grid: Grid):
     # identity, not a band-limited approximation
     half_wu = np.fft.irfft(np.fft.rfft(winp * u) * g._half_sym, g.n)
     d322 = g.spacing * np.array([np.dot(a, b) for a, b in zip(dh, half_wu - winp * dh)])
-
-    ddt, a1, a2 = window_terms(samples)
-    a3 = w * _weighted_sum(g.spacing, wins[1], disp)
-    a4 = -w * _weighted_sum(g.spacing, wins[1], flux)
-    mass = {"ddt_term": ddt, "a1": a1, "a2": a2, "a3": a3, "a4": a4,
-            "residual": ddt - a1 + a2 + a3 + a4}
-
-    # the 1/2 of 1/2 u^2 is applied to the shared terms afterwards; halving
-    # is exact in binary, so this matches weighting 1/2 u^2 directly
-    ddt, damping, dilation = window_terms(squares)
-    ddt, b1, b2 = 0.5 * ddt, -0.5 * damping, 0.5 * dilation
-    d31 = _weighted_sum(g.spacing, wins[1], hux * ux)
+    mass = {"a1": w_prime * _weighted_sum(g.spacing, win, u),
+            "a2": w_rate * _weighted_sum(g.spacing, zwinp, u),
+            "a3": w * _weighted_sum(g.spacing, win, disp),
+            "a4": -w * _weighted_sum(g.spacing, win, flux)}
+    d31 = _weighted_sum(g.spacing, win, hux * ux)
     d32 = _weighted_sum(g.spacing, winp, hux * u)
-    d321 = _weighted_sum(g.spacing, winp, dh ** 2)
-    b3 = -w * (d31 + d32 / lam)
-    b4 = -(2.0 / 3.0) * (w / lam) * _weighted_sum(g.spacing, winp, u * u * u)
-    energy = {"ddt_term": ddt, "b1": b1, "b2": b2, "b3": b3, "b4": b4, "d31": d31, "d32": d32,
-              "d321": d321, "d322": d322, "residual": ddt + b1 + b2 + b3 + b4}
-    return record, mass, energy
+    energy = {"b1": -0.5 * (w_prime * _weighted_sum(g.spacing, win, squares)),
+              "b2": 0.5 * (w_rate * _weighted_sum(g.spacing, zwinp, squares)),
+              "b3": -w * (d31 + d32 / lams), "d31": d31, "d32": d32, "d322": d322,
+              "b4": -(2.0 / 3.0) * (w / lams) * _weighted_sum(g.spacing, winp, u * u * u),
+              "d321": _weighted_sum(g.spacing, winp, dh ** 2)}
+    terms = [tuple({name: float(v[i]) for name, v in part.items()} for part in (mass, energy))
+             for i in range(len(ts))]
+    states = [before, *zip(ts, hs, samples)]
+    pairs = [prev and (_weighed(s, g, t - h, prev[2]), _weighed(s, g, prev[0] + prev[1], row))
+             for prev, (t, h, row) in zip(states, states[1:])]
+    return record, terms, pairs
 
 
 def integrated_decay(records) -> tuple[float, list[tuple[float, float]]]:

@@ -91,3 +91,14 @@ def test_failed_runs_are_counted_and_left_out_of_the_pairs():
     assert got["work_per_s"]["pairs"] == 2
     assert got["time_to_result_s"] == {"pairs": 0, "bound": 0.24,
                                        "verdict": "unresolved: no pair of runs"}
+
+
+@pytest.mark.parametrize("value, flag", [(None, False), ("", False), ("1", True)])
+def test_host_records_the_bytecode_setting(monkeypatch, value, flag):
+    # with PYTHONDONTWRITEBYTECODE set, each launch compiles bovirial again,
+    # which setup_s includes; python reads an empty value as unset
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.host()["dont_write_bytecode"] is flag

@@ -360,6 +360,15 @@ class TestGrowthFit:
         slope = bv.l1_growth_fit(recs)
         assert abs(slope) < 0.05
 
+    @pytest.mark.parametrize("p", [0.25, 0.5])
+    def test_recovers_exponent_of_exact_power(self, p):
+        # L1 = <t>^p exactly on 20 records spread geometrically over t in
+        # [2, 200]: the fit is the slope against log <t>, not log t or a
+        # shifted bracket, so it returns p up to rounding
+        recs = [bv.DiagRecord(t=float(t), I1=1.0, I2=1.0, E=1.0, L1=(1.0 + t * t) ** (p / 2),
+                              F=1.0, lam=1.0) for t in np.geomspace(2.0, 200.0, 20)]
+        assert abs(bv.l1_growth_fit(recs) - p) <= 1e-12
+
     def test_requires_enough_records(self):
         recs = [bv.DiagRecord(t=2.0 + k, I1=1.0, I2=1.0, E=1.0, L1=1.0,
                               F=1.0, lam=1.0) for k in range(5)]

@@ -64,6 +64,22 @@ gaussian.width = 4.0
 output.prefix = uneven
 """
 
+# records 50 steps of 0.1 apart from t0 = 1.537..., 9 of them: the spacing
+# exceeds the first record's time, so the first interior row's t - h is not
+# the time of the record before it in floating point
+COARSE_CFG = """\
+scenario = gaussian
+grid.n = 1024
+grid.length = 400.0
+solver.dt = 0.1
+solver.t0 = 1.537629414362398
+solver.t_end = 41.5376294143624
+solver.record_every = 50
+gaussian.amplitude = 0.5
+gaussian.width = 4.0
+output.prefix = coarse
+"""
+
 # scripts/compare_outputs.py's configs that blow up, at amplitudes 300 and 120
 BLOWUP_CFG = """\
 scenario = gaussian
@@ -162,26 +178,31 @@ def blocks_of(states, size):
 
 
 def states_alive(monkeypatch, seen):
-    """Patch _block to note how many states are alive in the windows it is
-    passed and in the blocks read, and return the notes with a wrapper for
-    blocks, (times, samples) pairs. `seen` holds weak references to the
-    arrays met so far. At each pass the note is the window's states plus
-    those of every array in `seen` still alive but the last, the block
-    whose states the window copies; at each read of a block it is the
-    states still alive in `seen`, to which the block read is then added."""
+    """Patch _block to note how many states are alive at each pass, and
+    return the notes with a wrapper for blocks, (times, samples) pairs.
+    `seen` holds weak references to the arrays met so far: the blocks read,
+    the blocks passed and the states passed as the one before a block. A
+    note counts the rows of those still alive, a view counting as the array
+    it views: at each pass once its block and the state before it are
+    added, at each read of a block before the block read is."""
     alive, block = [], experiment_cli._block
 
-    def rows(refs):
-        return sum(len(a) for a in (r() for r in refs) if a is not None)
+    def rows():
+        arrays = {}
+        for a in (ref() for ref in seen):
+            if a is not None:
+                a = a if a.base is None else a.base
+                arrays[id(a)] = a
+        return sum(a.size // a.shape[-1] for a in arrays.values())
 
-    def passed(window, *args):
-        alive.append(rows(seen[:-1]) + len(window))
-        seen.append(weakref.ref(window))
-        return block(window, *args)
+    def passed(samples, ts, hs, s, grid, before):
+        seen.extend(weakref.ref(a) for a in (samples, *([] if before is None else [before[2]])))
+        alive.append(rows())
+        return block(samples, ts, hs, s, grid, before)
 
     def read(blocks):
         for times, samples in blocks:
-            alive.append(rows(seen))
+            alive.append(rows())
             seen.append(weakref.ref(samples))
             yield times, samples
             del times, samples
@@ -359,36 +380,32 @@ class TestRun:
         assert a == b
 
     def test_interior_rows_carry_budgets(self, tmp_path):
-        # the budget cells must be exactly what the library computes from
-        # the recorded snapshots with the record spacing as the step
-        text = SOLITON_CFG.replace("solver.t_end = 12.0", "solver.t_end = 2.05")
-        text = text.replace("solver.record_every = 200",
-                            "solver.record_every = 2")
-        cfg = write_cfg(tmp_path, text)
-        out = str(tmp_path / "out")
-        main(["run", "--config", cfg, "--out", out])
-        diags, rows = parse_records(os.path.join(out, "wave.csv"))
-        assert rows[0]["mass_residual"] is None
-        assert rows[-1]["energy_residual"] is None
-        interior = rows[1:-1]
-        assert interior
-
-        g = bv.make_grid(1024, 200.0)
-        p = bv.soliton(1.0, -5.0, g)
-        u0 = bv.soliton_profile(p, g)
-        solver = bv.SolverConfig(dt=0.005, t0=2.0, t_end=2.05, record_every=2)
-        states = bv.run_trajectory(u0, solver)
-        sched = bv.WeightSchedule(a=0.0, c_scale=1.0)
-        h = states[1].t - states[0].t
-        mb = bv.mass_budget(states[0].u, states[1].u, states[2].u,
-                            states[1].t, h, sched)
-        eb = bv.energy_budget(states[0].u, states[1].u, states[2].u,
-                              states[1].t, h, sched)
-        row = rows[1]
-        assert row["mass_residual"] == mb.residual  # repr round-trip is exact
-        assert row["a3"] == mb.a3
-        assert row["energy_residual"] == eb.residual
-        assert row["d321"] == eb.d321
+        # the budget cells of every interior row must be exactly what the
+        # library computes from the recorded snapshots with the record
+        # spacing as the step. The soliton records every other step; the
+        # coarse gaussian's record spacing, 5, exceeds the first record's
+        # time, so t - h misses the previous record's time by rounding there
+        soliton = SOLITON_CFG.replace("solver.t_end = 12.0", "solver.t_end = 2.05").replace(
+            "solver.record_every = 200", "solver.record_every = 2")
+        for text, records in ((soliton, 6), (COARSE_CFG, 9)):
+            cfg = build_config(parse_config_text(text))
+            out = str(tmp_path / cfg.out_prefix)
+            assert main(["run", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+            _, rows = parse_records(os.path.join(out, cfg.out_prefix + ".csv"))
+            assert rows[0]["mass_residual"] is None
+            assert rows[-1]["energy_residual"] is None
+            states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
+            assert len(rows) == len(states) == records
+            ts = [st.t for st in states]
+            assert (ts[1] - (ts[1] - ts[0]) != ts[0]) == (text is COARSE_CFG)
+            for i in range(1, records - 1):
+                mass, energy = bv.budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i],
+                                          ts[i] - ts[i - 1], cfg.weight)
+                want = [getattr(mass, name) for name in ("a1", "a2", "a3", "a4", "residual")] + [
+                    getattr(energy, name) for name in
+                    ("b1", "b2", "b3", "d31", "d32", "d321", "d322", "b4", "residual")]
+                # repr round-trips, so the cells are the library's bits
+                assert [rows[i][name] for name in CSV_COLUMNS[7:]] == want
 
     def test_lambda_column_matches_schedule(self, tmp_path):
         cfg = write_cfg(tmp_path, SOLITON_CFG)
@@ -730,32 +747,30 @@ gaussian.width = 2.0
         assert sorted(os.listdir(out)) == sorted(
             f"g{i}.{ext}" for i in range(configs) for ext in ("csv", "manifest.json"))
 
-    def test_writer_holds_at_most_three_states(self, tmp_path, monkeypatch):
-        # blocks of one: windows of u0, then u0 and the next state, then prev,
-        # cur and the next state, which completes cur's budgets; while a block
-        # is read no earlier block or window is alive
+    def test_writer_holds_at_most_two_states(self, tmp_path, monkeypatch):
+        # blocks of one: u0 alone, then each state with the state before it,
+        # a copy of one row; while a block is read no earlier block, and no
+        # state passed before the last pass, is alive
         monkeypatch.setattr(experiment_cli, "_BLOCK_SAMPLES", 1)
         alive = self.states_held_by_writer(tmp_path, monkeypatch, 10)
-        assert alive == [0, 1, 0, 2] + [0, 3] * 9 and max(alive) == 3
+        assert alive == [0, 1] + [0, 2] * 10 and max(alive) == 2
 
-    def test_writer_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
+    def test_writer_holds_a_block_and_one_state(self, tmp_path, monkeypatch):
         # at the default cap, 16 states at n = 2048: the 41 records come in
-        # blocks of 16, 16 and 9, each passed in a window with the two
-        # states before it
+        # blocks of 16, 16 and 9, each passed with the state before it
         assert max(1, experiment_cli._BLOCK_SAMPLES // 2048) == 16
         alive = self.states_held_by_writer(tmp_path, monkeypatch, 40)
-        assert alive == [0, 16, 0, 18, 0, 11] and max(alive) == 16 + 2
+        assert alive == [0, 16, 0, 17, 0, 10] and max(alive) == 16 + 1
 
-    def test_reader_holds_a_block_and_two_states(self, tmp_path, monkeypatch):
+    def test_reader_holds_a_block_and_one_state(self, tmp_path, monkeypatch):
         # the budgets process's own states: u0, which it is forked holding,
         # then the blocks _received makes of the sent messages. At n = 2048
-        # (cap 16) the 41 records take windows of u0 alone, of u0 and the
-        # first block, then of each block with the two states before it:
-        # 1, 1 + 16, 2 + 16 and 2 + 8 states, for 41 records as for any
-        # number. u0 is let go after its own pass, and no earlier block or
-        # window is alive while a block is read. The stacked irfft gives
-        # every state the bits of iter_trajectory's, so the CSV is the one
-        # its states make
+        # (cap 16) the 41 records take passes of u0 alone, then of each
+        # block with the state before it: 1, 16 + 1, 16 + 1 and 8 + 1
+        # states, for 41 records as for any number. u0 is let go after its
+        # own pass, and no earlier block is alive while a block is read. The
+        # stacked irfft gives every state the bits of iter_trajectory's, so
+        # the CSV is the one its states make
         cfg = build_config(parse_config_text(dense_text(2048, 40)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         sent = sent_messages(cfg)
@@ -775,7 +790,7 @@ gaussian.width = 2.0
         path, ref = tmp_path / "uneven.csv", tmp_path / "ref.csv"
         assert consumed(path, cfg, held, sent) == (41, None)
         assert held == [] and same == [True] * 40
-        assert alive == [1, 0, 17, 0, 18, 0, 10] and max(alive) == 16 + 2
+        assert alive == [1, 0, 17, 0, 17, 0, 9] and max(alive) == 16 + 1
         assert experiment_cli._write_rows(str(ref), blocks_of(states, 1), cfg) == (41, None)
         assert path.read_bytes() == ref.read_bytes()
 
@@ -902,33 +917,31 @@ gaussian.width = 2.0
         assert written[0][0] == ",".join(CSV_COLUMNS) and len(written[0]) == 2
         assert written[0][1].startswith("9.99,") and written[0][1].endswith(",,,,")
 
-    def test_interior_row_takes_nine_transforms(self, tmp_path, transforms):
-        # one pass of 9 per window, for the record cells of its states and
-        # the budgets of each state that has both neighbors there; a window
-        # with no such state takes 2
+    def test_interior_row_takes_nine_transforms(self, tmp_path, transforms, transform_rows):
+        # every state enters one pass, which takes 9 transform calls however
+        # many states it serves: 9 transformed rows a state (3 rfft, 6
+        # irfft), the state before a block entering through its integrals
+        # alone. 11 states in blocks of one, four (4, 4 and 3) and the cap,
+        # 32 at n = 1024
         cfg = build_config(parse_config_text(dense_text(1024, 10)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
-        transforms.clear()
         path = str(tmp_path / "uneven.csv")
-        assert experiment_cli._write_rows(path, blocks_of(states, 1), cfg) == (11, None)
-        # in blocks of one, windows of the first state and of the first two,
-        # 2 each, then 9 for each of the 9 interior rows
-        assert transforms == {"rfft": 1 + 1 + 9 * 3, "irfft": 1 + 1 + 9 * 6}
-        # in blocks of the cap, 32 at n = 1024: the 11 states in one block,
-        # one pass of 9
-        transforms.clear()
-        assert experiment_cli._write_rows(path, blocks_of(states, 32), cfg) == (11, None)
-        assert transforms == {"rfft": 3, "irfft": 6}
+        for size, passes in ((1, 11), (4, 3), (32, 1)):
+            transforms.clear()
+            transform_rows.clear()
+            assert experiment_cli._write_rows(path, blocks_of(states, size), cfg) == (11, None)
+            assert transform_rows == {"rfft": 3 * 11, "irfft": 6 * 11}
+            assert transforms == {"rfft": 3 * passes, "irfft": 6 * passes}
         # as the budgets process reads a run of 41 states: u0, which it is
-        # forked holding, alone, 2; then the 40 sent in blocks of 32 and 8,
-        # each block's half spectra inverted by one stacked irfft, and a pass
-        # of 9 for u0 with the first block and one for the second block with
-        # the two states before it
+        # forked holding, alone, then the 40 sent in blocks of 32 and 8, each
+        # block's half spectra inverted by one stacked irfft call of its rows
         cfg = build_config(parse_config_text(dense_text(1024, 40)))
         sent = sent_messages(cfg)
         transforms.clear()
+        transform_rows.clear()
         assert consumed(path, cfg, [experiment_cli.initial_condition(cfg)], sent) == (41, None)
-        assert transforms == {"rfft": 1 + 2 * 3, "irfft": 1 + 2 + 2 * 6}
+        assert transform_rows == {"rfft": 3 * 41, "irfft": 6 * 41 + 40}
+        assert transforms == {"rfft": 3 * 3, "irfft": 6 * 3 + 2}
 
     def test_integration_takes_eight_transforms_a_step_and_none_a_record(self, tmp_path,
                                                                            transforms):

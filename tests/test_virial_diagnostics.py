@@ -20,6 +20,7 @@ from bovirial.virial_diagnostics import (
     EnergyBudget,
     MassBudget,
     _block,
+    _closed,
     phi,
     phi_prime,
     window_prime,
@@ -446,11 +447,12 @@ class TestOneSpectralPass:
         bv.diag_record(gaussian_small, 10.0, bv.WeightSchedule(a=0.25))
         assert transforms == {"rfft": 1, "irfft": 1}
 
-    def test_budgets_take_nine_transforms(self, budget_states, transforms):
+    def test_budgets_take_nine_transforms(self, budget_states, transforms, transform_rows):
+        # of u alone: its neighbors enter through their weighted integrals
         st_ = budget_states
         bv.budgets(st_[0].u, st_[1].u, st_[2].u, st_[1].t, st_[1].t - st_[0].t,
                    bv.WeightSchedule(a=0.25))
-        assert transforms == {"rfft": 3, "irfft": 6}
+        assert transforms == transform_rows == {"rfft": 3, "irfft": 6}
 
     def test_pass_builds_no_field(self, budget_states, monkeypatch):
         # past their checked inputs both calls run on plain arrays
@@ -513,9 +515,12 @@ class TestOneSpectralPass:
 
     @pytest.mark.parametrize("data", ["trajectory", "white noise"])
     def test_blocks_match_one_state_code_bit_for_bit(self, gaussian_small, data):
-        # every window from 1 state to the CSV writer's cap at n = 1024 (32)
-        # and the two states before a block, and every row's record values;
-        # white noise fills the top third and Nyquist
+        # the states in consecutive blocks of every size from 1 to the CSV
+        # writer's cap at n = 1024 (32) + 2, each block passed with the state
+        # before it as _write_rows passes it: every row's record values, and
+        # every interior row's budgets closed from its terms between its own
+        # behind and its next state's ahead; white noise fills the top third
+        # and Nyquist
         g, s = gaussian_small.grid, bv.WeightSchedule(a=0.25)
         cap = experiment_cli._BLOCK_SAMPLES // g.n
         assert cap == 32
@@ -528,24 +533,30 @@ class TestOneSpectralPass:
                       for i in range(cap + 2)]
         assert len(states) == cap + 2
         ts = [st.t for st in states]
+        hs = [0.0] + [ts[i] - ts[i - 1] for i in range(1, cap + 2)]
         # rows whose t + h is not the next row's time in floating point: their
         # d/dt terms weight the next state at t + h, and are compared below
-        assert sum(ts[i] + (ts[i] - ts[i - 1]) != ts[i + 1] for i in range(1, cap + 1)) == 8
+        assert sum(ts[i] + hs[i] != ts[i + 1] for i in range(1, cap + 1)) == 8
         records = [one_state_record(st.u, st.t, s) for st in states]
-        budgets = [None] + [astuple(m) + astuple(e) for m, e in (
-            one_state_budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i],
-                              ts[i] - ts[i - 1], s) for i in range(1, cap + 1))]
+        budgets = [astuple(m) + astuple(e) for m, e in (
+            one_state_budgets(states[i - 1].u, states[i].u, states[i + 1].u, ts[i], hs[i], s)
+            for i in range(1, cap + 1))]
+        samples = np.array([st.u.samples for st in states])
         for m in range(1, cap + 3):
-            samples = np.array([st.u.samples for st in states[:m]])
-            hs = [ts[i] - ts[i - 1] for i in range(1, m - 1)]
-            record, mass, energy = _block(samples, ts[:m], hs, s, g)
-            got = list(zip(*(record[name] for name in experiment_cli._RECORD_CELLS)))
-            assert got == records[:m]
-            assert (mass is None) == (m < 3)
-            for i in range(1, m - 1):
-                got = (MassBudget(ts[i], **{f: v[i - 1] for f, v in mass.items()}),
-                       EnergyBudget(ts[i], **{f: v[i - 1] for f, v in energy.items()}))
-                assert astuple(got[0]) + astuple(got[1]) == budgets[i]
+            got, terms, pairs, before = [], [], [], None
+            for a in range(0, cap + 2, m):
+                b = min(a + m, cap + 2)
+                record, block_terms, block_pairs = _block(samples[a:b], ts[a:b], hs[a:b], s, g,
+                                                          before)
+                got += zip(*(record[name] for name in experiment_cli._RECORD_CELLS))
+                terms += block_terms
+                pairs += block_pairs
+                before = (ts[b - 1], hs[b - 1], samples[b - 1])
+            assert got == records and pairs[0] is None
+            closed = [_closed(pairs[i][0], terms[i], pairs[i + 1][1], hs[i])
+                      for i in range(1, cap + 1)]
+            assert [astuple(MassBudget(t, **mass)) + astuple(EnergyBudget(t, **energy))
+                    for t, (mass, energy) in zip(ts[1:], closed)] == budgets
 
     def test_single_budgets_are_the_halves(self, budget_states):
         s = bv.WeightSchedule(a=0.25)
