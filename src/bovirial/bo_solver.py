@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Field, Grid, _positive, frac_deriv, inner
+from .spectral_core import Field, Grid, _positive, _same_grid, frac_deriv, inner
 
 __all__ = [
     "BlowupError",
@@ -175,29 +175,33 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
         del st
 
 
+def _record_times(cfg: SolverConfig) -> Iterator[tuple[int, float]]:
+    """(step, t0 + step*dt) of each record after t0, every `record_every` steps
+    and the last: the one schedule the integrator and the budgets process keep."""
+    steps = itertools.chain(range(cfg.record_every, cfg.n_steps, cfg.record_every), [cfg.n_steps])
+    return ((k, cfg.t0 + k * cfg.dt) for k in steps)
+
+
 def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[tuple[float, np.ndarray]]:
     """`iter_trajectory`'s loop after t0 for a stack of fields on one grid:
     their half spectra advance as one (B, n/2+1) array, each row bit for
-    bit as it would alone, and each record is (t, that array), which no
-    later step writes to, with no transform. A lone field keeps a 1-D
-    spectrum (a stack of one steps 3-5% slower). Rows that stop being
-    finite are integrated on: the caller decides when to stop drawing.
-    The caller has checked dt (check_stability)."""
-    g = fields[0].grid
-    if any((f.grid.n, f.grid.length) != (g.n, g.length) for f in fields):
-        raise ValueError("fields live on different grids")
+    bit as it would alone, and at each step of `_record_times` it yields
+    (t, that array), which no later step writes to, with no transform. A
+    lone field keeps a 1-D spectrum (a stack of one steps 3-5% slower).
+    Rows that stop being finite are integrated on: the caller decides when
+    to stop drawing. The caller has checked dt (check_stability)."""
+    g = _same_grid(*fields)
     plan = _Plan(g, cfg.dt)
     vh = np.fft.rfft(fields[0].samples if len(fields) == 1
                      else np.array([f.samples for f in fields]))
     del fields
     done = 0
-    for k in itertools.chain(range(cfg.record_every, cfg.n_steps, cfg.record_every),
-                             (cfg.n_steps,)):
+    for k, t in _record_times(cfg):
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(k - done):
                 vh = plan.advance(vh)
         done = k
-        yield cfg.t0 + k * cfg.dt, vh
+        yield t, vh
 
 
 def run_trajectory(u0: Field, cfg: SolverConfig) -> list[TrajectoryState]:

@@ -38,8 +38,8 @@ import json
 import math
 import multiprocessing
 import os
-import resource
 import sys
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -51,6 +51,7 @@ from . import __version__
 from .bo_solver import (
     SolverConfig,
     _iter_stack,
+    _record_times,
     check_stability,
     l1_growth_fit,
     profile_residual,
@@ -194,8 +195,11 @@ def build_config(raw: dict[str, str]) -> ScenarioConfig:
                               t_end=vals["solver.t_end"],
                               record_every=vals["solver.record_every"])
         check_stability(solver, grid)
-        if solver.t0 <= 1.0:
-            raise ValueError("solver.t0 must exceed 1 (window weights are undefined below)")
+        # no time is weighed before t0 or t1 - h, h = t1 - t0 rounded as _write_rows has it
+        t1 = next(_record_times(solver))[1]
+        if min(solver.t0, t1 - (t1 - solver.t0)) <= 1.0:
+            raise ValueError(f"solver.t0 must exceed 1, also as t1 - (t1 - t0) = "
+                             f"{t1 - (t1 - solver.t0)!r} (window weights are undefined below)")
         if scenario == "gaussian":
             _positive(params["width"], "gaussian.width")
         for key in ("gaussian.center", "soliton.x0"):
@@ -324,20 +328,15 @@ def _write_rows(path: str, blocks, cfg: ScenarioConfig) -> tuple[int, float | No
     return rows, None
 
 
-def _cpu_s() -> float:
-    """User plus system CPU seconds of this process so far."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime
-
-
 class _Stream:
     """One config's run, streamed to a budgets process of its own that runs
     _write_rows on the states, so this process only integrates while the
     other computes every cell of the rows and writes them. Forked holding
     the initial field, it receives each later recorded state over a
-    _states_pipe as the bytes t | half spectrum (no transform here per
-    record); an empty message ends the stream. `finish` collects the result
-    from a second pipe, writes the manifest and returns the exit code."""
+    _states_pipe as the bytes of its half spectrum, its time being the
+    schedule's (no transform here per record); an empty message ends the
+    stream. `finish` collects the result from a second pipe, writes the
+    manifest and returns the exit code."""
 
     def __init__(self, cfg: ScenarioConfig, u0: Field, out_dir: str, others: list):
         """Start the budgets process, forked holding `u0`. `others` are the pipe
@@ -347,7 +346,6 @@ class _Stream:
         self.manifest_path = os.path.join(out_dir, cfg.out_prefix + ".manifest.json")
         self.started = _now()
         self.open = True
-        self.message = np.empty(cfg.grid.n + 3)  # t | half spectrum
         # forked, it starts from this process's memory, where a spawned process
         # would import numpy and the package again
         fork = multiprocessing.get_context("fork")
@@ -360,14 +358,12 @@ class _Stream:
         states_in.close()
         results_out.close()
 
-    def send(self, t: float, values: np.ndarray) -> None:
-        """Stream one recorded state, its time and half spectrum. The stream
-        ends once the budgets process stops reading: after a failure, or
-        after the state where it cut the rows."""
-        message = self.message
-        message[0], message[1:] = t, values.view(np.float64)  # real and imaginary parts
+    def send(self, values: np.ndarray) -> None:
+        """Stream the next recorded state, its half spectrum's bytes as they
+        are. The stream ends once the budgets process stops reading: after a
+        failure, or after the state where it cut the rows."""
         try:
-            self.states.send_bytes(message)
+            self.states.send_bytes(values)
         except ConnectionError:
             self.open = False  # the budgets process stopped reading: finish says why
 
@@ -387,17 +383,17 @@ class _Stream:
         except (EOFError, ConnectionError):
             result = None
         self.close()
-        rows, cut, budgets_cpu_s = result if isinstance(result, tuple) else (None, None, None)
-        if cut is not None:
-            print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
-                  f"records stop after {rows} states", file=sys.stderr)
         if not isinstance(result, tuple):
             print(f"error: budgets process failed; {self.records_path} keeps the rows "
                   f"written so far, and no manifest is written\n"
                   f"{result or f'it exited with code {self.consumer.exitcode}'}",
                   file=sys.stderr)
             return 1
+        rows, cut, budgets_cpu_s = result
         aborted = cut is not None
+        if aborted:
+            print(f"error: {self.records_path}: diagnostics not finite at t={cut:g}; "
+                  f"records stop after {rows} states", file=sys.stderr)
         _write_json(self.manifest_path, {
             "config": self.cfg.raw,
             "version": __version__,
@@ -430,18 +426,18 @@ def _states_pipe(context):
 def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
              inherited: list) -> None:
     """The budgets process: write the rows of the field it takes out of
-    `held`, a list of one, and of the states a _Stream sends, then send back
-    _write_rows' result and its CPU seconds, or the traceback if it raised.
-    The field is a block of its own, let go after its pass but for a copy
-    of its samples, the first sent state's neighbor. It ends without a word
-    when the sender closes the pipe early, having first closed the pipe
-    ends it was forked holding, so that it sees that."""
+    `held`, a list of one, at t0, and of the half spectra a _Stream sends,
+    timed by _record_times, then send back _write_rows' result and its CPU
+    seconds, or the traceback if it raised. The field is a block of its
+    own, let go after its pass but for a copy of its samples, the first
+    sent state's neighbor. It ends without a word when the sender closes
+    the pipe early, having closed its inherited pipe ends to see that."""
     for end in inherited:
         end.close()
     first = iter([([cfg.solver.t0], held.pop().samples[None])])  # emptied, it lets u0 go
-    blocks = itertools.chain(first, _received(states, cfg.grid))
+    blocks = itertools.chain(first, _received(states, cfg))
     try:
-        result = (*_write_rows(path, blocks, cfg), _cpu_s())
+        result = (*_write_rows(path, blocks, cfg), time.process_time())
     except EOFError:
         return
     except Exception:
@@ -449,23 +445,23 @@ def _consume(states, results, path: str, cfg: ScenarioConfig, held: list,
     results.send(result)
 
 
-def _received(conn, grid: Grid):
-    """The states a _Stream sends, up to its empty message, as (times,
-    samples) blocks of max(1, _BLOCK_SAMPLES // n) consecutive states,
-    whatever the timing. A block's half spectra are stacked with one copy
-    and inverted by one stacked irfft, each row bit for bit the 1-D one;
-    samples that overflow are left for _write_rows to cut at. The pipe is
-    read no further than the block that holds the state after a cut."""
-    size = max(1, _BLOCK_SAMPLES // grid.n)
-    values = (np.frombuffer(message, np.float64) for message in iter(conn.recv_bytes, b""))
+def _received(conn, cfg: ScenarioConfig):
+    """The half spectra a _Stream sends, up to its empty message, as (times,
+    samples) blocks of max(1, _BLOCK_SAMPLES // n) states, whatever the
+    timing, times from _record_times. A block is stacked with one copy and
+    inverted by one stacked irfft, each row bit for bit the 1-D one; samples
+    that overflow are left for _write_rows to cut at. The pipe is read no
+    further than the block that holds the state after a cut."""
+    size = max(1, _BLOCK_SAMPLES // cfg.grid.n)
+    spectra = (np.frombuffer(message, np.complex128) for message in iter(conn.recv_bytes, b""))
+    times = (t for _, t in _record_times(cfg.solver))
 
     def block():
-        spectra = list(itertools.islice(values, size))
-        if spectra:  # else the read after the last block, which ends the blocks
+        rows = list(itertools.islice(spectra, size))
+        if rows:  # else the read after the last block, which ends the blocks
             with np.errstate(over="ignore", invalid="ignore"):
-                samples = np.fft.irfft(np.array([v[1:] for v in spectra]).view(np.complex128),
-                                       grid.n)
-            return [float(v[0]) for v in spectra], samples
+                samples = np.fft.irfft(np.array(rows), cfg.grid.n)
+            return list(itertools.islice(times, len(rows))), samples
 
     # unlike a generator's loop, this holds no block while it reads the next
     return iter(block, None)
@@ -510,7 +506,7 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     stops once every stream has ended. The manifests carry the CPU seconds
     this process spent on the stack."""
     streams: list[_Stream] = []
-    cpu_s = _cpu_s()
+    cpu_s = time.process_time()
     fields = [initial_condition(cfg) for cfg in cfgs]
     try:
         for cfg, u0 in zip(cfgs, fields):
@@ -518,16 +514,16 @@ def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
             streams.append(_Stream(cfg, u0, out_dir, others))
         records = _iter_stack(fields, cfgs[0].solver)
         del fields, u0
-        for t, vh in records:
+        for _, vh in records:
             for stream, row in zip(streams, vh.reshape(len(streams), -1)):
                 if stream.open:
-                    stream.send(t, row)
+                    stream.send(row)
                     if not np.isfinite(row).all():
                         stream.end()
             del vh, row  # hold no sent state while the next is integrated
             if not any(stream.open for stream in streams):
                 break
-        cpu_s = _cpu_s() - cpu_s
+        cpu_s = time.process_time() - cpu_s
         return [stream.finish(cpu_s) for stream in streams]
     finally:
         for stream in streams:

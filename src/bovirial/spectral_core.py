@@ -118,8 +118,8 @@ class Field:
         object.__setattr__(self, "samples", _frozen(s))
 
 
-def _same_grid(f: Field, g: Field) -> Grid:
-    if f.grid is not g.grid and (f.grid.n != g.grid.n or f.grid.length != g.grid.length):
+def _same_grid(f: Field, *others: Field) -> Grid:
+    if any((g.grid.n, g.grid.length) != (f.grid.n, f.grid.length) for g in others):
         raise ValueError("fields live on different grids")
     return f.grid
 

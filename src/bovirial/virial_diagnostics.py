@@ -238,8 +238,7 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     of u alone (see _block). Only the inputs are checked: a state whose
     square overflows gives terms that are not finite.
     """
-    g = _same_grid(u, u_prev)
-    _same_grid(u, u_next)
+    g = _same_grid(u, u_prev, u_next)
     _positive(dt, "dt")
     _, [terms], _ = _block(u.samples[None], [t], [dt], s, g)
     mass, energy = _closed(_weighed(s, g, t - dt, u_prev.samples), terms,

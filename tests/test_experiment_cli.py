@@ -1,6 +1,7 @@
 """End-to-end checks of the command surface: configs, files, exit codes."""
 
 import glob
+import importlib.util
 import itertools
 import json
 import math
@@ -224,11 +225,11 @@ def sent_messages(cfg):
     the empty one that ends the stream."""
     sent = []
     stream = object.__new__(experiment_cli._Stream)
-    stream.message, stream.open = np.empty(cfg.grid.n + 3), True
+    stream.open = True
     stream.states = SimpleNamespace(send_bytes=lambda message: sent.append(bytes(message)))
-    for t, vh in experiment_cli._iter_stack([experiment_cli.initial_condition(cfg)],
+    for _, vh in experiment_cli._iter_stack([experiment_cli.initial_condition(cfg)],
                                             cfg.solver):
-        stream.send(t, vh)
+        stream.send(vh)
     stream.end()
     return sent
 
@@ -337,6 +338,22 @@ class TestConfigParsing:
     def test_stock_config_loads(self, name):
         # no load rule may reject a config the repository ships
         assert load_config(str(SCRIPTS / f"{name}.cfg")).out_prefix == name
+
+    def test_compare_outputs_configs_load(self):
+        # every config scripts/compare_outputs.py writes loads, the coarse
+        # one among them: its first record's t - h misses t0 by rounding,
+        # and the run weighs that time, which is still above 1
+        spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                      SCRIPTS / "compare_outputs.py")
+        co = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(co)
+        texts = ([co.BLOWUP.format(amp=a) for a in co.BLOWUP_AMPLITUDES]
+                 + [co.ENSEMBLE.format(seed=s) for s in co.ENSEMBLE_SEEDS]
+                 + [co.DENSE.format(amp=a) for a in co.DENSE_AMPLITUDES] + list(co.EDGES.values()))
+        assert len({build_config(parse_config_text(text)).out_prefix for text in texts}) == 11
+        solver = build_config(parse_config_text(co.EDGES["coarse"])).solver
+        t1 = solver.t0 + solver.record_every * solver.dt
+        assert 1.0 < t1 - (t1 - solver.t0) < solver.t0
 
 
 def file_in_the_way(tmp_path):
@@ -552,11 +569,11 @@ gaussian.width = 2.0
         # end of its stream: none is left waiting, so the run does not hang
         send, calls = experiment_cli._Stream.send, []
 
-        def failing(self, t, values):
+        def failing(self, values):
             calls.append(None)
             if len(calls) == 5:  # the third record of the first of two stacked configs
                 raise RuntimeError("injected integration failure")
-            return send(self, t, values)
+            return send(self, values)
 
         def hung(signum, frame):
             # not TimeoutError: Process.join would swallow an OSError
@@ -774,7 +791,7 @@ gaussian.width = 2.0
         cfg = build_config(parse_config_text(dense_text(2048, 40)))
         states = bv.run_trajectory(experiment_cli.initial_condition(cfg), cfg.solver)
         sent = sent_messages(cfg)
-        assert [len(message) for message in sent] == [8 * 2051] * 40 + [0]
+        assert [len(message) for message in sent] == [16 * 1025] * 40 + [0]
         held = [bv.Field(cfg.grid, states[0].u.samples)]  # a copy that only `held` keeps
         alive, read = states_alive(monkeypatch, [weakref.ref(held[0].samples)])
         receive, same = experiment_cli._received, []
@@ -956,12 +973,12 @@ gaussian.width = 2.0
     @pytest.mark.parametrize("n", [2048, 8192])
     def test_states_pipe_takes_two_blocks_without_blocking(self, n):
         # a sending end that would block raises instead: two blocks of
-        # messages t | half spectrum fit in the resized pipe (the default 64
-        # KiB holds four states at n = 2048)
+        # messages, each a half spectrum, fit in the resized pipe (the
+        # default 64 KiB takes three whole states at n = 2048)
         reader, sender = experiment_cli._states_pipe(multiprocessing.get_context("fork"))
         try:
             os.set_blocking(sender.fileno(), False)
-            message = np.zeros(n + 3)
+            message = np.zeros(n // 2 + 1, np.complex128)
             for _ in range(2 * max(1, experiment_cli._BLOCK_SAMPLES // n)):
                 sender.send_bytes(message)
         finally:
@@ -1071,6 +1088,30 @@ soliton.c = 500.0
             f"length/n = 0.390625\n")
         assert not out.exists()
 
+    def test_t0_weighed_at_1_by_rounding_exits_2_at_load(self, tmp_path, capsys):
+        # t0 exceeds 1, but the first record's t - h, h = t - t0, rounds to
+        # 1.0, where the window weights are undefined. Unchecked, the budgets
+        # process raised there: exit 1, a traceback and a header-only CSV
+        text = """\
+scenario = gaussian
+grid.n = 256
+grid.length = 100.0
+solver.dt = 0.1
+solver.t0 = 1.0000000000000002
+solver.t_end = 5.2
+solver.record_every = 21
+gaussian.amplitude = 0.5
+gaussian.width = 4.0
+"""
+        t1 = 1.0000000000000002 + 21 * 0.1
+        assert t1 - (t1 - 1.0000000000000002) == 1.0
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: solver.t0 must exceed 1") and "1.0 " in err
+        assert not out.exists() and glob.glob(str(tmp_path / "**" / "*.csv"), recursive=True) == []
+        assert glob.glob(str(tmp_path / "**" / "*.json"), recursive=True) == []
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_duplicate_prefix_exits_2_before_any_run(self, tmp_path, capsys, jobs):
         # the first names its prefix, the second falls back to the scenario name
@@ -1161,6 +1202,37 @@ def synthetic_records(path, a=0.0, c=1.0, n=2000):
 
 
 class TestAnalyze:
+    def test_rows_carry_the_lemma_ratios_of_their_states(self, tmp_path):
+        # with q = (F - d321)/lambda = (1/lambda) int phi' u^2, an interior
+        # row's d32 and |d31| are KM1's and KM2's lhs and q their rhs_unit on
+        # the row's own state, so KM1 and KM2 read off the CSV untransformed
+        text = """\
+scenario = random
+grid.n = 512
+grid.length = 100.0
+solver.dt = 0.005
+solver.t0 = 2.0
+solver.t_end = 3.0
+solver.record_every = 20
+random.seed = 3
+random.amplitude = 0.5
+output.prefix = lemmas
+"""
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = parse_records(str(out / "lemmas.csv"))
+        loaded = load_config(cfg)
+        states = bv.run_trajectory(experiment_cli.initial_condition(loaded), loaded.solver)
+        interior = [(row, st) for row, st in zip(rows, states) if row["d32"] is not None]
+        assert len(rows) == len(states) == 11 and len(interior) == 9
+        for row, st in interior:
+            assert row["t"] == st.t
+            lam, q = row["lambda"], (row["F"] - row["d321"]) / row["lambda"]
+            for tag, lhs in (("KM1", row["d32"]), ("KM2", abs(row["d31"]))):
+                rep = bv.run_check(tag, st.u, lam)
+                assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+                assert rep.rhs_unit == pytest.approx(q, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("column, cell", [("E", "nan"), ("F", "inf")])
     def test_non_finite_cell_exits_2(self, tmp_path, capsys, column, cell):
         rec = tmp_path / "r.csv"
