@@ -38,6 +38,11 @@ temporary directory:
     one state, each block's first budgets needing the state before it;
     and one whose record spacing (5) exceeds its first record's time, so
     that t - h misses the record before it by rounding;
+  * `run` on two gaussian configs at n = 32768 (a record every 5 steps, 5
+    records each; written by this script), each alone into `wide/` and
+    both at once into `wide_stack/`. A lone spectrum there has 16,385
+    modes, 256 KiB, the size from which numpy reuses temporaries in
+    place, so this is where a stack and its rows run alone could part;
   * `check-lemmas` with its defaults;
   * `analyze` on the `soliton_decay` records;
   * `soliton-test --c 1 --validate-family`, its stdout kept as
@@ -48,7 +53,8 @@ as JSON without their `started` and `finished` timestamps and their
 `cpu_s` CPU seconds. Each file of this tree's `run_jobs2/`,
 `aborted_jobs2/`, `ensemble_jobs2/` and `dense_stack/` is also compared
 with the reference's `run/`, `aborted/`, `ensemble/` and `dense/`, so
-pooled and stacked scheduling answer to the reference's serial one. A command that
+pooled and stacked scheduling answer to the reference's serial one, and
+each file of `wide_stack/` with this tree's own `wide/`. A command that
 exits with another code than the one expected stops the script with its
 stderr. The script
 prints one line per file; under a differing CSV or `.dat` file it also
@@ -140,9 +146,25 @@ gaussian.amplitude = 0.5
 gaussian.width = 4.0
 output.prefix = coarse
 """}
-# pooled or stacked output: serial or lone twin
+WIDE_AMPLITUDES = (0.3, 0.25)
+WIDE = """\
+scenario = gaussian
+grid.n = 32768
+grid.length = 400.0
+solver.dt = 0.001
+solver.t0 = 30.0
+solver.t_end = 30.02
+solver.record_every = 5
+weight.a = 0.25
+gaussian.amplitude = {amp}
+gaussian.width = 10.0
+output.prefix = wide_{amp}
+"""
+# pooled or stacked output: serial or lone twin, in the reference
 TWINS = {"run_jobs2": "run", "aborted_jobs2": "aborted", "ensemble_jobs2": "ensemble",
          "dense_stack": "dense"}
+# stacked output: lone twin in this tree
+OWN_TWINS = {"wide_stack": "wide"}
 # manifest keys that differ between runs of the same config
 TIMING = ("started", "finished", "cpu_s")
 
@@ -160,7 +182,7 @@ def _write_configs(tmp: str, texts: dict) -> list[str]:
 
 
 def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str],
-             dense: list[str], edges: list[str]) -> None:
+             dense: list[str], edges: list[str], wide: list[str]) -> None:
     """Write every compared output of the program in `tree/src` under `out`."""
     env = _env(tree)
     cli = [sys.executable, "-m", "bovirial.experiment_cli"]
@@ -180,6 +202,9 @@ def _produce(tree: str, out: str, blowups: list[str], ensemble: list[str],
                        (["run", *dense[2:], "--out", os.path.join(out, "dense")], 0),
                        (["run", *dense, "--out", os.path.join(out, "dense_stack")], 0),
                        (["run", *edges, "--out", os.path.join(out, "edges")], 0),
+                       (["run", *wide[:2], "--out", os.path.join(out, "wide")], 0),
+                       (["run", *wide[2:], "--out", os.path.join(out, "wide")], 0),
+                       (["run", *wide, "--out", os.path.join(out, "wide_stack")], 0),
                        (["check-lemmas", "--out", os.path.join(out, "lemmas")], 0),
                        (["analyze", "--records", os.path.join(runs, "soliton_decay.csv"),
                          "--out", os.path.join(out, "analyze")], 0)):
@@ -290,27 +315,31 @@ def main(argv: list[str]) -> int:
                                         for seed in ENSEMBLE_SEEDS})
         dense = _write_configs(tmp, {f"dense_{a}": DENSE.format(amp=a) for a in DENSE_AMPLITUDES})
         edges = _write_configs(tmp, EDGES)
+        wide = _write_configs(tmp, {f"wide_{a}": WIDE.format(amp=a) for a in WIDE_AMPLITUDES})
         for tree, out in ((ref_tree, ref_out), (HERE, new_out)):
             os.makedirs(out)
-            _produce(tree, out, blowups, ensemble, dense, edges)
-        ref_files, new_files = _files(ref_out), _files(new_out)
-        pairs = [(rel, rel) for rel in sorted(ref_files | new_files)]
-        for rel in sorted(new_files):
+            _produce(tree, out, blowups, ensemble, dense, edges, wide)
+        files = {ref_out: _files(ref_out), new_out: _files(new_out)}
+        # (root of the file compared against, its path there, this tree's path)
+        pairs = [(ref_out, rel, rel) for rel in sorted(files[ref_out] | files[new_out])]
+        for rel in sorted(files[new_out]):
             top, _, name = rel.partition(os.sep)
-            if top in TWINS:
-                pairs.append((os.path.join(TWINS[top], name), rel))
+            for root, twins in ((ref_out, TWINS), (new_out, OWN_TWINS)):
+                if top in twins:
+                    pairs.append((root, os.path.join(twins[top], name), rel))
         differ = 0
-        for ref_rel, rel in pairs:
-            if ref_rel not in ref_files or rel not in new_files:
-                verdict = "only in " + ("reference" if ref_rel in ref_files else "this tree")
+        for root, ref_rel, rel in pairs:
+            if ref_rel not in files[root] or rel not in files[new_out]:
+                verdict = "only in " + ("reference" if ref_rel in files[ref_out] else "this tree")
             else:
-                verdict = "identical" if _same(os.path.join(ref_out, ref_rel),
+                verdict = "identical" if _same(os.path.join(root, ref_rel),
                                                os.path.join(new_out, rel)) else "DIFFERS"
             differ += verdict != "identical"
-            against = "" if ref_rel == rel else f"  (against reference {ref_rel})"
+            against = "" if (root, ref_rel) == (ref_out, rel) else (
+                f"  (against {'reference' if root == ref_out else 'this tree'} {ref_rel})")
             print(f"{verdict:>12}  {rel}{against}")
             if verdict == "DIFFERS":
-                a, b = os.path.join(ref_out, ref_rel), os.path.join(new_out, rel)
+                a, b = os.path.join(root, ref_rel), os.path.join(new_out, rel)
                 if rel.endswith((".csv", ".dat")):
                     for line in _column_maxima(a, b):
                         print(f"{'':>14}max |diff|  {line}")

@@ -66,12 +66,12 @@ MUTANTS = (
            "hil, dx, keep = -1j * ((k > 0) & paired), 1j * xi_r * paired, 1.0 * (k <= n // 2)",
            "the 2/3 rule mistaken for a Nyquist cut: the quadratic flux then aliases"),
     Mutant("rk4_stage2_no_factor", "bo_solver.py",
-           "k2 = self.flux(e1 * (vh + (0.5 * dt) * k1))",
-           "k2 = self.flux(vh + (0.5 * dt) * k1)",
+           "self.flux(mul(e1, add(vh, mul(0.5 * dt, k1, out=y), out=y), out=y), k2)",
+           "self.flux(add(vh, mul(0.5 * dt, k1, out=y), out=y), k2)",
            "an integrating factor left out of one IF-RK4 stage still gives a stable step"),
     Mutant("rk4_stage4_no_factor", "bo_solver.py",
-           "k4 = self.flux(e2vh + dt * (e1 * k3))",
-           "k4 = self.flux(e2vh + dt * k3)",
+           "self.flux(add(e2vh, mul(dt, mul(e1, k3, out=y), out=y), out=y), k4)",
+           "self.flux(add(e2vh, mul(dt, k3, out=y), out=y), k4)",
            "as above, in the last stage, where k3 sits half a step behind"),
     Mutant("eta_log_power", "virial_diagnostics.py",
            "return 1.0 / (t * math.log(t))",
@@ -98,8 +98,8 @@ MUTANTS = (
            '"b3": -w * (d31 + d32 / (1.01 * lams)), "d31": d31, "d32": d32, "d322": d322,',
            "the window scale taken at a slightly different time than the pairing"),
     Mutant("flux_scale", "bo_solver.py",
-           "return np.fft.rfft(w * w) * grid._flux_sym",
-           "return np.fft.rfft(1.001 * w * w) * grid._flux_sym",
+           "return np.multiply(np.fft.rfft(square, out=out), sym, out=out)",
+           "return np.multiply(np.fft.rfft(square, out=out), 1.001 * sym, out=out)",
            "a nonlinearity off by a constant factor, as with the other normalization"),
     Mutant("growth_bracket_power", "bo_solver.py",
            "bracket = np.sqrt(1.0 + ts * ts)",

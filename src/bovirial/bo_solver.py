@@ -104,45 +104,69 @@ class TrajectoryState:
     t: float
 
 
-def _flux(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectrum of -d/dx(w^2): the square truncated by the 2/3 rule."""
-    return np.fft.rfft(w * w) * grid._flux_sym
+def _flux(w: np.ndarray, sym: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of -d/dx(w^2), sym the grid's flux symbol: the square
+    truncated by the 2/3 rule. Given `out`, w is squared in place and the
+    spectrum is written to out, so nothing is allocated here."""
+    square = np.multiply(w, w, out=None if out is None else w)
+    return np.multiply(np.fft.rfft(square, out=out), sym, out=out)
 
 
 class _Plan:
-    """The exact linear propagators exp(-D dt/2) and exp(-D dt) of one
-    (grid, dt) choice, D the grid's dispersion symbol (i xi|xi| off Nyquist,
-    0 at Nyquist, where both propagators are therefore 1).
+    """IF-RK4 for half spectra of one shape, (n/2+1,) or a (B, n/2+1) stack
+    whose rows advance as B independent ones, each bit for bit as it would
+    alone. It holds the exact linear propagators
+    exp(-D dt/2) and exp(-D dt) of one (grid, dt) choice, D the grid's
+    dispersion symbol (i xi|xi| off Nyquist, 0 at Nyquist, where both
+    propagators are therefore 1), and the flux symbol, each laid out in
+    that shape so that no product broadcasts, and the step's work arrays,
+    made once.
 
-    `flux` and `advance` work along the last axis, so a (B, n/2+1) stack
-    of half spectra advances as B independent rows, each bit for bit as it
-    would alone."""
+    Every product is one np.multiply in one operand order: a coefficient
+    first, a transform before its symbol. The order is explicit because
+    complex multiplication is not bit-symmetric in its operands, and numpy
+    reuses a temporary of 256 KiB or more in place: `e1 * (temp)` ran as
+    `temp *= e1` for a lone spectrum of 16,385 modes (n = 32768) but not
+    for a stack, whose broadcast coefficient blocked the reuse, so the two
+    parted in the last bit."""
 
-    def __init__(self, grid: Grid, dt: float):
+    def __init__(self, grid: Grid, dt: float, shape: tuple[int, ...]):
         self.grid = grid
         self.dt = dt
-        self.e_half = np.exp(-grid._dispersion_sym * (0.5 * dt))
-        self.e_full = self.e_half * self.e_half
+        e_half = np.exp(-grid._dispersion_sym * (0.5 * dt))
+        self.e_half, self.e_full, self.flux_sym = (
+            np.broadcast_to(a, shape).copy() for a in (e_half, e_half * e_half, grid._flux_sym))
+        self.samples = np.empty((*shape[:-1], grid.n))
+        self.work = tuple(np.empty(shape, np.complex128) for _ in range(5))
 
-    def flux(self, vh: np.ndarray) -> np.ndarray:
-        return _flux(np.fft.irfft(vh, self.grid.n), self.grid)
+    def flux(self, vh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """_flux of the field whose half spectrum is vh, written to out."""
+        return _flux(np.fft.irfft(vh, self.grid.n, out=self.samples), self.flux_sym, out)
 
     def advance(self, vh: np.ndarray) -> np.ndarray:
-        """One integrating-factor RK4 step of the flux equation."""
-        dt, e1, e2 = self.dt, self.e_half, self.e_full
-        k1 = self.flux(vh)
-        k2 = self.flux(e1 * (vh + (0.5 * dt) * k1))
-        k3 = self.flux(e1 * vh + (0.5 * dt) * k2)
-        e2vh = e2 * vh
-        k4 = self.flux(e2vh + dt * (e1 * k3))
-        return e2vh + (dt / 6.0) * (e2 * k1 + 2.0 * (e1 * (k2 + k3)) + k4)
+        """One integrating-factor RK4 step of the flux equation. The result
+        is the one array a step allocates, and no later step writes to it."""
+        dt, e1, e2, (y, k1, k2, k3, k4) = self.dt, self.e_half, self.e_full, self.work
+        mul, add = np.multiply, np.add
+        self.flux(vh, k1)
+        # k2 = flux(e1 (vh + dt/2 k1))
+        self.flux(mul(e1, add(vh, mul(0.5 * dt, k1, out=y), out=y), out=y), k2)
+        # k3 = flux(e1 vh + dt/2 k2)
+        self.flux(add(mul(e1, vh, out=y), mul(0.5 * dt, k2, out=k3), out=y), k3)
+        # k4 = flux(e2 vh + dt e1 k3)
+        e2vh = mul(e2, vh)
+        self.flux(add(e2vh, mul(dt, mul(e1, k3, out=y), out=y), out=y), k4)
+        # e2 vh + dt/6 (e2 k1 + 2 e1 (k2 + k3) + k4)
+        mul(2.0, mul(e1, add(k2, k3, out=k2), out=k2), out=k2)
+        add(add(mul(e2, k1, out=k1), k2, out=k1), k4, out=k1)
+        return add(e2vh, mul(dt / 6.0, k1, out=k1), out=e2vh)
 
 
 def bo_rhs(u: Field) -> Field:
     """Right-hand side -d/dx(H u_x + u^2) as a real field."""
     g = u.grid
     out = -g._dispersion_sym * np.fft.rfft(u.samples)
-    return Field(g, np.fft.irfft(out + _flux(u.samples, g), g.n))
+    return Field(g, np.fft.irfft(out + _flux(u.samples, g._flux_sym), g.n))
 
 
 def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
@@ -165,7 +189,7 @@ def iter_trajectory(u0: Field, cfg: SolverConfig) -> Iterator[TrajectoryState]:
         # Field copies the transform's output: kept as is, it made glibc trim and regrow
         # the heap top every later step at n = 8192 (986k vs 45k page faults, soliton_decay)
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = np.fft.irfft(vh, g.n)
+            samples = np.fft.irfft(vh[0], g.n)
         try:
             st = TrajectoryState(Field(g, samples), t)
         except ValueError:
@@ -184,16 +208,16 @@ def _record_times(cfg: SolverConfig) -> Iterator[tuple[int, float]]:
 
 def _iter_stack(fields: list[Field], cfg: SolverConfig) -> Iterator[tuple[float, np.ndarray]]:
     """`iter_trajectory`'s loop after t0 for a stack of fields on one grid:
-    their half spectra advance as one (B, n/2+1) array, each row bit for
-    bit as it would alone, and at each step of `_record_times` it yields
-    (t, that array), which no later step writes to, with no transform. A
-    lone field keeps a 1-D spectrum (a stack of one steps 3-5% slower).
-    Rows that stop being finite are integrated on: the caller decides when
-    to stop drawing. The caller has checked dt (check_stability)."""
+    their half spectra advance as one (B, n/2+1) array through a _Plan of
+    that shape, each row bit for bit as it would alone (the plan's one
+    operand order sees to that at every n), and at each step of
+    `_record_times` it yields (t, that array), which no later step writes
+    to, with no transform. A lone field is a stack of one. Rows that stop
+    being finite are integrated on: the caller decides when to stop
+    drawing. The caller has checked dt (check_stability)."""
     g = _same_grid(*fields)
-    plan = _Plan(g, cfg.dt)
-    vh = np.fft.rfft(fields[0].samples if len(fields) == 1
-                     else np.array([f.samples for f in fields]))
+    vh = np.fft.rfft(np.array([f.samples for f in fields]))
+    plan = _Plan(g, cfg.dt, vh.shape)
     del fields
     done = 0
     for k, t in _record_times(cfg):

@@ -497,7 +497,7 @@ def _keep_freed_heap() -> None:
 def run_scenario(cfgs: list[ScenarioConfig], out_dir: str) -> list[int]:
     """Run a stack of configs that share grid and solver settings into an
     existing output directory, and return their exit codes. The stack
-    integrates as one (B, n/2+1) half spectrum, a lone config as a 1-D one.
+    integrates as one (B, n/2+1) half spectrum, a lone config as B = 1.
     Each config streams to its own budgets process, forked holding its
     initial field, which writes its records CSV and makes every cut. Row i
     of each record goes to stream i; a stream ends alone, right after it is

@@ -209,11 +209,14 @@ def _weighted_sum(spacing: float, weight: np.ndarray, samples: np.ndarray) -> np
     return spacing * (weight * samples).sum(axis=-1)
 
 
-def _weighed(s: WeightSchedule, grid: Grid, tau: float, samples: np.ndarray):
-    """(w int phi u, w int phi u^2) of a state, w and phi at time tau."""
-    w, win = w_at(s, tau), phi(grid.coords / lambda_at(s, tau))
-    return (float(w * _weighted_sum(grid.spacing, win, samples)),
-            float(w * _weighted_sum(grid.spacing, win, np.square(samples))))
+def _weighed(s: WeightSchedule, grid: Grid, taus, samples: np.ndarray) -> list[tuple]:
+    """(w int phi u, w int phi u^2) of each row of a (k, n) stack of states,
+    w and phi of row i at time taus[i]; sums run along rows, so a row gets
+    the bits it would get alone."""
+    w = np.array([w_at(s, tau) for tau in taus])
+    win = phi(grid.coords / np.array([lambda_at(s, tau) for tau in taus])[:, None])
+    return list(zip((w * _weighted_sum(grid.spacing, win, samples)).tolist(),
+                    (w * _weighted_sum(grid.spacing, win, np.square(samples))).tolist()))
 
 
 def _closed(behind, terms, ahead, h: float) -> tuple[dict, dict]:
@@ -241,8 +244,8 @@ def budgets(u_prev: Field, u: Field, u_next: Field, t: float, dt: float,
     g = _same_grid(u, u_prev, u_next)
     _positive(dt, "dt")
     _, [terms], _ = _block(u.samples[None], [t], [dt], s, g)
-    mass, energy = _closed(_weighed(s, g, t - dt, u_prev.samples), terms,
-                           _weighed(s, g, t + dt, u_next.samples), dt)
+    behind, ahead = _weighed(s, g, [t - dt, t + dt], np.array([u_prev.samples, u_next.samples]))
+    mass, energy = _closed(behind, terms, ahead, dt)
     return MassBudget(t=float(t), **mass), EnergyBudget(t=float(t), **energy)
 
 
@@ -297,7 +300,7 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, g: Grid, before=None)
         g._deriv_sym, g._hilbert_deriv_sym, g._dispersion_sym))
     # the solver's own flux, -(u^2)_x after the 2/3 rule, so a4 is exactly
     # the flux term the trajectory felt
-    flux = np.fft.irfft(_flux(u, g), g.n)
+    flux = np.fft.irfft(_flux(u, g._flux_sym), g.n)
     # the commutator pairs as <D^{1/2}u, D^{1/2}(phi' u) - phi' D^{1/2}u>, with
     # plain products: the split d32 = d321 + d322 is then an exact adjointness
     # identity, not a band-limited approximation
@@ -316,9 +319,14 @@ def _block(samples: np.ndarray, ts, hs, s: WeightSchedule, g: Grid, before=None)
               "d321": _weighted_sum(g.spacing, winp, dh ** 2)}
     terms = [tuple({name: float(v[i]) for name, v in part.items()} for part in (mass, energy))
              for i in range(len(ts))]
-    states = [before, *zip(ts, hs, samples)]
-    pairs = [prev and (_weighed(s, g, t - h, prev[2]), _weighed(s, g, prev[0] + prev[1], row))
-             for prev, (t, h, row) in zip(states, states[1:])]
+    # rows from `first` on have a state behind them: one weighing of those
+    # states at the rows' t - h, one of the rows at those states' t + h
+    first = 1 if before is None else 0
+    behind = samples[:-1] if before is None else np.vstack([before[2], samples[:-1]])
+    behind_th = ([] if before is None else [before[:2]]) + list(zip(ts, hs))[:-1]
+    pairs = [None] * first + list(zip(
+        _weighed(s, g, [t - h for t, h in zip(ts, hs)][first:], behind),
+        _weighed(s, g, [t + h for t, h in behind_th], samples[first:])))
     return record, terms, pairs
 
 

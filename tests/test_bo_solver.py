@@ -126,7 +126,7 @@ class TestTrajectory:
         # the solver's exact linear propagator, applied alone step by step
         u0 = gaussian(grid_small, 0.5, 3.0)
         cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.5, record_every=500)
-        e_full = _Plan(grid_small, cfg.dt).e_full
+        e_full = _Plan(grid_small, cfg.dt, (grid_small.n // 2 + 1,)).e_full
         vh = np.fft.rfft(u0.samples)
         for _ in range(cfg.n_steps):
             vh = e_full * vh
@@ -190,13 +190,13 @@ class TestTrajectory:
 
 class TestStack:
     def test_stacked_advance_matches_rows_bit_for_bit(self, grid_small):
-        plan = _Plan(grid_small, 0.01)
         rows = [np.fft.rfft(gaussian(grid_small, a, w, c).samples)
                 for a, w, c in ((0.5, 4.0, 0.0), (-1.0, 2.0, 30.0), (2.0, 8.0, -50.0))]
         stack = np.array(rows)
+        plan, lone = _Plan(grid_small, 0.01, stack.shape), _Plan(grid_small, 0.01, rows[0].shape)
         for _ in range(200):
             stack = plan.advance(stack)
-            rows = [plan.advance(vh) for vh in rows]
+            rows = [lone.advance(vh) for vh in rows]
         assert stack.shape == (3, grid_small.n // 2 + 1)
         assert all(np.array_equal(stack[i], rows[i]) for i in range(3))
 
@@ -225,6 +225,21 @@ class TestStack:
         assert cut < len(records) - 1
         t, _ = records[cut]
         assert (t, cfg.record_every * (cut + 1)) == (alone.value.t, alone.value.step)
+
+    def test_wide_stack_matches_lone_runs_bit_for_bit(self):
+        # a lone spectrum at n = 32768 has 16,385 modes, 256 KiB, the size from
+        # which numpy reuses a temporary in place and so may swap a product's
+        # operands; a stack's rows must still keep their lone runs' bits
+        g = bv.make_grid(32768, 400.0)
+        fields = [gaussian(g, 0.3, 10.0), gaussian(g, 0.25, 10.0, 5.0)]
+        cfg = bv.SolverConfig(dt=1e-3, t0=30.0, t_end=30.004, record_every=2)
+        stacked = list(_iter_stack(fields, cfg))
+        assert len(stacked) == 2
+        for i, field in enumerate(fields):
+            alone = list(_iter_stack([field], cfg))
+            assert [t for t, _ in alone] == [t for t, _ in stacked]
+            assert all(np.array_equal(vh[i], lone[0])
+                       for (_, vh), (_, lone) in zip(stacked, alone))
 
     def test_stack_on_two_grids_rejected(self, grid_small, grid_medium):
         cfg = bv.SolverConfig(dt=1e-3, t0=2.0, t_end=2.1)

@@ -349,8 +349,9 @@ class TestConfigParsing:
         spec.loader.exec_module(co)
         texts = ([co.BLOWUP.format(amp=a) for a in co.BLOWUP_AMPLITUDES]
                  + [co.ENSEMBLE.format(seed=s) for s in co.ENSEMBLE_SEEDS]
-                 + [co.DENSE.format(amp=a) for a in co.DENSE_AMPLITUDES] + list(co.EDGES.values()))
-        assert len({build_config(parse_config_text(text)).out_prefix for text in texts}) == 11
+                 + [co.DENSE.format(amp=a) for a in co.DENSE_AMPLITUDES] + list(co.EDGES.values())
+                 + [co.WIDE.format(amp=a) for a in co.WIDE_AMPLITUDES])
+        assert len({build_config(parse_config_text(text)).out_prefix for text in texts}) == 13
         solver = build_config(parse_config_text(co.EDGES["coarse"])).solver
         t1 = solver.t0 + solver.record_every * solver.dt
         assert 1.0 < t1 - (t1 - solver.t0) < solver.t0
